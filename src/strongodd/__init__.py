@@ -6,6 +6,7 @@ from .graphs import (
     DiGraph,
     Graph,
     Hypergraph,
+    InvariantViolated,
     MultiplicityRule,
     ODD_RULE,
     PlaneGraph,

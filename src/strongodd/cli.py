@@ -20,7 +20,7 @@ from .gadgets import (
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
 )
-from .graphs import Coloring, DiGraph, Graph, GraphError, MultiplicityRule, ODD_RULE
+from .graphs import DiGraph, Graph, GraphError, MultiplicityRule, ODD_RULE
 from .ktree import InvalidStep, bfs_layering, build_ktree, validate_bfs_properties
 from .outerplanar import NotOuterplanarWitness, color_outerplanar
 from .rowtw import color_rtw
@@ -262,8 +262,6 @@ def cmd_repro(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="strongodd")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="solver worker cap (results are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate gadgets and corpora")

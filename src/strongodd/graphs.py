@@ -8,13 +8,21 @@ on a derived graph can be pulled back to the factors.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph data."""
+
+
+class InputNotSubgraph(ValueError):
+    """A digraph constraint or tracked set leaves the host graph."""
+
+
+class InvariantViolated(RuntimeError):
+    """A construction broke one of its own guarantees: a library bug, not bad input."""
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -341,14 +349,25 @@ class Coloring:
         Color ids are assigned by first occurrence over increasing vertex id,
         so identical inputs yield identical colorings.
         """
-        ids: dict[object, int] = {}
-        assignment = {}
-        for v in sorted(values):
-            val = values[v]
-            if val not in ids:
-                ids[val] = len(ids)
-            assignment[v] = ids[val]
-        return cls(assignment, dict(values))
+        return cls(_densify(values), dict(values))
+
+
+def _densify(values: Mapping, key=None) -> dict:
+    """Map each key to a dense int id of its value, numbered by first
+    occurrence over the keys sorted by ``key``."""
+    ids: dict[object, int] = {}
+    return {x: ids.setdefault(values[x], len(ids)) for x in sorted(values, key=key)}
+
+
+def check_constraints(g: Graph, digraphs: Iterable[DiGraph], sets: Iterable[Iterable[int]]):
+    """Reject a digraph constraint that is not a subgraph of ``g`` or a
+    tracked set holding a vertex outside it."""
+    for d in digraphs:
+        if d.n != g.n or not d.is_subgraph_of(g):
+            raise InputNotSubgraph("digraph constraint is not a subgraph of the host")
+    for m in sets:
+        if any(not (0 <= v < g.n) for v in m):
+            raise InputNotSubgraph("tracked set contains a foreign vertex")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .graphs import Graph
 
@@ -68,7 +68,6 @@ class KTreeSeq:
 def build_ktree(seq: KTreeSeq) -> Graph:
     """Build the k-tree graph, checking every step clique against the prefix."""
     edges = list(combinations(seq.initial, 2))
-    g = Graph(seq.n, ())
     adj: list[set[int]] = [set() for _ in range(seq.n)]
     for u, v in edges:
         adj[u].add(v)

@@ -4,8 +4,9 @@ Every product layer is a copy of the k-tree, colored independently by the
 treewidth construction; the directed edges incident to a layer are projected
 into it as three digraph constraints (from below, from above, within), a
 layer type records which colors meet which tracked sets, a mod-3 tag keeps
-the palettes of nearby layers apart, and a final layer-parity repair makes
-the tracked sets globally odd.
+the palettes of nearby layers apart, and the layer-parity repair of the
+treewidth construction, ``treewidth._parity_repair``, makes the tracked sets
+globally odd.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .bounds import rtw_bound
-from .canon import canonical_key
-from .graphs import Coloring, DiGraph, Graph, product_coords, strong_product
+from .graphs import Coloring, DiGraph, InvariantViolated, check_constraints
+from .graphs import product_coords, strong_product
 from .ktree import KTreeSeq, build_ktree
-from .treewidth import InputNotSubgraph, TypeMatrix, _tw_color
+from .treewidth import TypeMatrix, _parity_repair, _tw_color
 
 
 def _rtw_color(
@@ -26,7 +27,6 @@ def _rtw_color(
     sets: Sequence[frozenset[int]],
 ) -> dict[int, object]:
     nh = build_ktree(h_seq).n
-    layers = [range(d * nh, (d + 1) * nh) for d in range(path_len)]
     by_layer_arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, b in arcs.arcs:
         (u, da) = product_coords(a, nh)
@@ -34,7 +34,6 @@ def _rtw_color(
         by_layer_arcs.setdefault((da, db), []).append((u, v))
 
     out: dict[int, object] = {}
-    layer_colors: list[dict[int, object]] = []
     for d in range(path_len):
         within = [(u, v) for u, v in by_layer_arcs.get((d, d), ())]
         from_below = [(u, v) for u, v in by_layer_arcs.get((d - 1, d), ()) if u != v]
@@ -49,22 +48,10 @@ def _rtw_color(
             for u in m:
                 cells.append((("M", j), gamma[u]))
         mat = TypeMatrix(cells)
-        layer_colors.append(gamma)
         for u in range(nh):
             out[d * nh + u] = (gamma[u], mat, (d + 1) % 3)
 
-    # Layer-parity repair (same argument as the treewidth construction).
-    occupied: dict[object, set[int]] = {}
-    for x, c in out.items():
-        occupied.setdefault(c, set()).add(x // nh)
-    renamed: dict[object, int] = {}
-    for c in sorted(occupied, key=canonical_key):
-        if len(occupied[c]) % 2 == 0:
-            renamed[c] = min(occupied[c])
-    return {
-        x: (c, 1 if c in renamed and x // nh == renamed[c] else 0)
-        for x, c in out.items()
-    }
+    return _parity_repair(out, lambda x: x // nh)
 
 
 def color_rtw(
@@ -78,13 +65,8 @@ def color_rtw(
     product = strong_product(build_ktree(h_seq), path_len)
     arcs = arcs if arcs is not None else DiGraph(product.n)
     sets = [frozenset(m) for m in sets]
-    if arcs.n != product.n or not arcs.is_subgraph_of(product):
-        raise InputNotSubgraph("directed subgraph leaves the product")
-    for m in sets:
-        if any(not (0 <= v < product.n) for v in m):
-            raise InputNotSubgraph("tracked set contains a foreign vertex")
-    raw = _rtw_color(h_seq, path_len, arcs, sets)
-    coloring = Coloring.from_values(raw)
-    assert rtw_bound(h_seq.k, len(sets)).at_least(coloring.num_colors()), \
-        "row-treewidth coloring exceeded its bound"
+    check_constraints(product, [arcs], sets)
+    coloring = Coloring.from_values(_rtw_color(h_seq, path_len, arcs, sets))
+    if not rtw_bound(h_seq.k, len(sets)).at_least(coloring.num_colors()):
+        raise InvariantViolated("row-treewidth coloring exceeded its bound")
     return coloring

@@ -10,10 +10,10 @@ its last vertex in the branching order has been assigned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE
+from .graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE, check_constraints
 
 
 @dataclass(frozen=True)
@@ -261,12 +261,7 @@ def chi_so_constrained(
 ) -> tuple[int, Coloring]:
     """Minimum colors proper on g, strong odd on every digraph constraint's
     out-neighborhoods, and strong odd on every tracked set."""
-    for d in constraints.digraphs:
-        if d.n != g.n or not d.is_subgraph_of(g):
-            raise ValueError("digraph constraint is not a subgraph of the host")
-    for m in constraints.sets:
-        if any(not (0 <= v < g.n) for v in m):
-            raise ValueError("set constraint contains a foreign vertex")
+    check_constraints(g, constraints.digraphs, constraints.sets)
     extra: list[frozenset[int]] = []
     for d in constraints.digraphs:
         extra.extend(d.out_neighbors(v) for v in range(d.n))

@@ -2,10 +2,10 @@
 
 The summand coloring reuses the product coloring, feeding the apex
 out-neighborhoods in as extra tracked sets and spending t fresh colors on
-the apexes.  The sum coloring recurses on w along the natural layering,
-mirroring the treewidth construction with per-layer sum witnesses in place
-of (k-1)-tree completions, and with a clique coloring of parent cliques
-driven by representative vertices inside their host summands.
+the apexes.  The sum coloring recurses on w along the natural layering by
+running the layered skeleton ``treewidth._layered_color`` with per-layer sum
+witnesses in place of (k-1)-tree completions, and with a clique coloring of
+parent cliques driven by representative vertices inside their host summands.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .bounds import summand_bound, sum_bound, sum_clique_bound
+from .bounds import summand_bound, sum_bound
 from .canon import canonical_key
-from .graphs import Coloring, DiGraph, Graph, product_coords, product_vertex
-from .ktree import KTreeSeq, build_ktree, _component_parents
+from .graphs import Coloring, DiGraph, Graph, InvariantViolated, _densify, check_constraints
+from .graphs import join_with_clique, product_coords, product_vertex, strong_product
+from .ktree import KTreeSeq, build_ktree
 from .rowtw import _rtw_color
 from .sums import (
     LayerWitness,
@@ -26,7 +27,7 @@ from .sums import (
     layer_sum_desc,
     natural_layering,
 )
-from .treewidth import InputNotSubgraph, TypeMatrix, _tw_color
+from .treewidth import TypeMatrix, _layered_color, _pull_back, _tw_color
 
 
 class UntaggedClique(ValueError):
@@ -63,20 +64,13 @@ def color_summand(
 ) -> Coloring:
     """Proper coloring of (k-tree x path) + K_t, strong odd on the directed
     subgraph and on every tracked set."""
-    from .graphs import join_with_clique, strong_product
-
     f = join_with_clique(strong_product(build_ktree(h_seq), path_len), t)
     arcs = arcs if arcs is not None else DiGraph(f.n)
     sets = [frozenset(m) for m in sets]
-    if arcs.n != f.n or not arcs.is_subgraph_of(f):
-        raise InputNotSubgraph("directed subgraph leaves the summand")
-    for m in sets:
-        if any(not (0 <= v < f.n) for v in m):
-            raise InputNotSubgraph("tracked set contains a foreign vertex")
-    raw = _summand_color(h_seq, path_len, t, arcs, sets)
-    coloring = Coloring.from_values(raw)
-    assert summand_bound(h_seq.k, t, len(sets)).at_least(coloring.num_colors()), \
-        "summand coloring exceeded its bound"
+    check_constraints(f, [arcs], sets)
+    coloring = Coloring.from_values(_summand_color(h_seq, path_len, t, arcs, sets))
+    if not summand_bound(h_seq.k, t, len(sets)).at_least(coloring.num_colors()):
+        raise InvariantViolated("summand coloring exceeded its bound")
     return coloring
 
 
@@ -231,15 +225,7 @@ def sum_clique_coloring(
         if q not in by_clique:
             raise UntaggedClique(f"{sorted(q)} has no tag")
         ordered.append(by_clique[q])
-    raw = _sum_clique_color_raw(s, ordered)
-    ids: dict[object, int] = {}
-    out = {}
-    for q in sorted(raw, key=lambda x: sorted(x)):
-        val = raw[q]
-        if val not in ids:
-            ids[val] = len(ids)
-        out[q] = ids[val]
-    return out
+    return _densify(_sum_clique_color_raw(s, ordered), key=sorted)
 
 
 def _sum_color(
@@ -260,101 +246,29 @@ def _sum_color(
         d: layer_sum_desc(s, layering, d) for d in range(len(layers)) if layers[d]
     }
 
-    def pull_coloring(d: int, sub_arcs: DiGraph, sub_sets) -> dict[int, object]:
+    def witness(d: int, vs):
         wit = witnesses[d]
-        raw = _sum_color(wit.sum, sub_arcs, sub_sets)
-        return {v: raw[wit.embed[v]] for v in layers[d]}
+        return wit.sum, wit.sum.graph.n, wit.embed
 
-    def map_into(d: int, vs: Iterable[int]) -> frozenset[int]:
-        wit = witnesses[d]
-        return frozenset(wit.embed[v] for v in vs)
+    def color(sub: Sum, digraphs: list[DiGraph], sub_sets):
+        return _sum_color(sub, *digraphs, sub_sets)
 
-    phi: dict[int, object] = {}
+    def color_layer(d: int, digraph: DiGraph, layer_sets):
+        return _pull_back(witness, color, d, layers[d], [digraph], layer_sets)
 
-    wit0 = witnesses[0]
-    arcs0 = DiGraph(
-        wit0.sum.graph.n,
-        ((wit0.embed[a], wit0.embed[b]) for a, b in arcs.arcs
-         if a in layers[0] and b in layers[0]),
-    )
-    sets0 = [map_into(0, m & layers[0]) for m in sets]
-    first = pull_coloring(0, arcs0, sets0)
-    for v in layers[0]:
-        phi[v] = (first[v], -1, -1, 1 % 3)
+    first = color_layer(0, arcs, [m & layers[0] for m in sets])
+    chis = [color_layer(d, DiGraph(s.graph.n), []) for d in range(len(layers) - 1)]
 
-    chi_cache: dict[int, dict[int, object]] = {}
+    def parent_rows(d: int, q: frozenset[int], vq: set[int]):
+        chi = chis[d - 1]
+        return [(("chi", chi[u]), arcs.out_neighbors(u) & vq)
+                for u in sorted(q, key=lambda u: canonical_key(chi[u]))]
 
-    def chi_of(d: int) -> dict[int, object]:
-        if d not in chi_cache:
-            wit = witnesses[d]
-            chi_cache[d] = pull_coloring(d, DiGraph(wit.sum.graph.n), [])
-        return chi_cache[d]
+    def color_cliques(sub: Sum, cliques: list[frozenset[int]]):
+        return _sum_clique_color_raw(sub, tag_cliques(sub, cliques))
 
-    g = s.graph
-    for d in range(1, len(layers)):
-        layer = layers[d]
-        prev = layers[d - 1]
-        chi_prev = chi_of(d - 1)
-        children: dict[frozenset[int], set[int]] = {}
-        for comp, parents in _component_parents(g, layer, prev):
-            assert len(parents) <= desc.w and g.is_clique(parents), \
-                "parent set is not a small clique"
-            children.setdefault(parents, set()).update(comp)
-
-        wit = witnesses[d]
-        per_clique: dict[frozenset[int], tuple[dict[int, object], TypeMatrix]] = {}
-        for q in sorted(children, key=lambda x: sorted(x)):
-            vq = children[q]
-            sub_arcs = DiGraph(
-                wit.sum.graph.n,
-                ((wit.embed[a], wit.embed[b]) for a, b in arcs.arcs
-                 if a in vq and b in vq),
-            )
-            tracked: list[tuple[tuple, frozenset[int]]] = []
-            for j, m in enumerate(sets):
-                tracked.append((("M", j), m & vq))
-            for v in sorted(q, key=lambda u: canonical_key(chi_prev[u])):
-                tracked.append(
-                    (("chi", chi_prev[v]), arcs.out_neighbors(v) & vq)
-                )
-            sub_sets = [map_into(d, m) for _, m in tracked]
-            raw_q = _sum_color(wit.sum, sub_arcs, sub_sets)
-            phi_q = {v: raw_q[wit.embed[v]] for v in vq}
-            cells = []
-            for row, m in tracked:
-                for v in m:
-                    cells.append((row, phi_q[v]))
-            per_clique[q] = (phi_q, TypeMatrix(cells))
-
-        by_type: dict[TypeMatrix, list[frozenset[int]]] = {}
-        for q, (_, mat) in per_clique.items():
-            by_type.setdefault(mat, []).append(q)
-        sigma: dict[frozenset[int], object] = {}
-        wit_prev = witnesses[d - 1]
-        for mat in sorted(by_type, key=canonical_key):
-            qs = sorted(by_type[mat], key=lambda x: sorted(x))
-            mapped = [frozenset(wit_prev.embed[v] for v in q) for q in qs]
-            tags = tag_cliques(wit_prev.sum, mapped)
-            colored = _sum_clique_color_raw(wit_prev.sum, tags)
-            for q, mq in zip(qs, mapped):
-                sigma[q] = colored[mq]
-
-        for q, (phi_q, mat) in per_clique.items():
-            for v in phi_q:
-                phi[v] = (phi_q[v], mat, sigma[q], (d + 1) % 3)
-
-    layer_of = layering.layer_of()
-    occupied: dict[object, set[int]] = {}
-    for v, c in phi.items():
-        occupied.setdefault(c, set()).add(layer_of[v])
-    renamed: dict[object, int] = {}
-    for c in sorted(occupied, key=canonical_key):
-        if len(occupied[c]) % 2 == 0:
-            renamed[c] = min(occupied[c])
-    return {
-        v: (c, 1 if c in renamed and layer_of[v] == renamed[c] else 0)
-        for v, c in phi.items()
-    }
+    return _layered_color(s.graph, layering, first, range(desc.w + 1), [arcs], sets,
+                          witness, color, parent_rows, color_cliques)
 
 
 def _disjoint_sum_color(
@@ -418,13 +332,8 @@ def color_sum(
     s = build_sum(desc)
     arcs = arcs if arcs is not None else DiGraph(s.graph.n)
     sets = [frozenset(m) for m in sets]
-    if arcs.n != s.graph.n or not arcs.is_subgraph_of(s.graph):
-        raise InputNotSubgraph("directed subgraph leaves the sum")
-    for m in sets:
-        if any(not (0 <= v < s.graph.n) for v in m):
-            raise InputNotSubgraph("tracked set contains a foreign vertex")
-    raw = _sum_color(s, arcs, sets)
-    coloring = Coloring.from_values(raw)
-    assert sum_bound(desc.k, desc.t, len(sets), desc.w).at_least(coloring.num_colors()), \
-        "sum coloring exceeded its bound"
+    check_constraints(s.graph, [arcs], sets)
+    coloring = Coloring.from_values(_sum_color(s, arcs, sets))
+    if not sum_bound(desc.k, desc.t, len(sets), desc.w).at_least(coloring.num_colors()):
+        raise InvariantViolated("sum coloring exceeded its bound")
     return coloring

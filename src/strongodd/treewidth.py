@@ -7,6 +7,10 @@ grouped by a type matrix recording which recursive colors meet which tracked
 sets, cliques of equal type share a clique coloring, and a final mod-3 layer
 tag plus a layer-parity repair assemble the result.
 
+``_layered_color`` is that construction written once, with the parts that
+depend on the instance passed in; the sum coloring of ``sumcolor`` runs it
+too, and the product coloring of ``rowtw`` shares ``_parity_repair``.
+
 Color values are structured tuples; two recursive colors are the same color
 exactly when the values compare equal, which is what lets type matrices from
 independent subinstances synchronize.
@@ -14,24 +18,20 @@ independent subinstances synchronize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .bounds import tw_bound, tw_clique_bound
 from .canon import canonical_key
-from .graphs import Coloring, DiGraph, Graph
+from .graphs import Coloring, DiGraph, Graph, InputNotSubgraph, InvariantViolated
+from .graphs import _densify, check_constraints
 from .ktree import (
-    Completion,
     KTreeSeq,
+    Layering,
     bfs_layering,
     build_ktree,
     layer_completion,
     _component_parents,
 )
-
-
-class InputNotSubgraph(ValueError):
-    """A digraph constraint or tracked set leaves the host graph."""
 
 
 class NotAStepClique(ValueError):
@@ -70,13 +70,92 @@ class TypeMatrix:
         return f"TypeMatrix({len(self.entries)} ones)"
 
 
-def _validate_inputs(g: Graph, digraphs: Sequence[DiGraph], sets: Sequence[frozenset[int]]):
-    for d in digraphs:
-        if d.n != g.n or not d.is_subgraph_of(g):
-            raise InputNotSubgraph("digraph constraint is not a subgraph of the host")
-    for m in sets:
-        if any(not (0 <= v < g.n) for v in m):
-            raise InputNotSubgraph("tracked set contains a foreign vertex")
+def _pull_back(slice_of, color, d: int, vs, digraphs, sets) -> dict[int, object]:
+    """Color the vertices ``vs`` of layer ``d`` inside the subinstance
+    ``slice_of(d, vs)``, under the digraphs restricted to ``vs`` and the
+    given subsets of ``vs``, and read the colors back."""
+    sub, sub_n, to_sub = slice_of(d, vs)
+    sub_digraphs = [
+        DiGraph(sub_n, ((to_sub[a], to_sub[b]) for a, b in h.arcs if a in vs and b in vs))
+        for h in digraphs
+    ]
+    raw = color(sub, sub_digraphs, [frozenset(to_sub[v] for v in m) for m in sets])
+    return {v: raw[to_sub[v]] for v in vs}
+
+
+def _parity_repair(phi: Mapping[int, object], layer_of: Callable[[int], int]) -> dict[int, object]:
+    """Every color must appear on an odd number of layers; an even class is
+    renamed on its lowest layer."""
+    occupied: dict[object, set[int]] = {}
+    for v, c in phi.items():
+        occupied.setdefault(c, set()).add(layer_of(v))
+    renamed: dict[object, int] = {}
+    for c in sorted(occupied, key=canonical_key):
+        if len(occupied[c]) % 2 == 0:
+            renamed[c] = min(occupied[c])
+    return {
+        v: (c, 1 if c in renamed and layer_of(v) == renamed[c] else 0)
+        for v, c in phi.items()
+    }
+
+
+def _layered_color(
+    g: Graph,
+    layering: Layering,
+    first: Mapping[int, object],
+    parent_sizes: Collection[int],
+    digraphs: Sequence[DiGraph],
+    sets: Sequence[frozenset[int]],
+    slice_of: Callable[[int, Collection[int]], tuple[object, int, Mapping[int, int]]],
+    color: Callable[[object, list[DiGraph], list[frozenset[int]]], Mapping[int, object]],
+    parent_rows: Callable[[int, frozenset[int], set[int]], list[tuple[tuple, frozenset[int]]]],
+    color_cliques: Callable[[object, list[frozenset[int]]], Mapping[frozenset[int], object]],
+) -> dict[int, object]:
+    """The layered construction shared by k-trees and (w,k,t)-sums.
+
+    ``first`` colors layer 0.  The components of each later layer are
+    grouped by parent clique, whose size must lie in ``parent_sizes``.  The
+    children of a clique are colored by ``color`` inside the subinstance
+    ``slice_of(d, children)`` (a triple: instance, vertex count, vertex map),
+    tracking every set and every ``parent_rows`` out-neighborhood.  Cliques
+    of equal type matrix share one ``color_cliques`` coloring inside the
+    previous layer's subinstance.  A mod-3 layer tag and the layer-parity
+    repair finish the coloring.
+    """
+    layers = layering.layers
+    phi: dict[int, object] = {v: (c, -1, -1, 1) for v, c in first.items()}
+    for d in range(1, len(layers)):
+        children: dict[frozenset[int], set[int]] = {}
+        for comp, parents in _component_parents(g, layers[d], layers[d - 1]):
+            if len(parents) not in parent_sizes or not g.is_clique(parents):
+                raise InvariantViolated(
+                    f"parent set {sorted(parents)} is not a clique of an allowed size")
+            children.setdefault(parents, set()).update(comp)
+
+        per_clique: dict[frozenset[int], tuple[dict[int, object], TypeMatrix]] = {}
+        for q in sorted(children, key=sorted):
+            vq = children[q]
+            tracked = [(("M", j), m & vq) for j, m in enumerate(sets)] + parent_rows(d, q, vq)
+            phi_q = _pull_back(slice_of, color, d, vq, digraphs, [m for _, m in tracked])
+            per_clique[q] = (phi_q, TypeMatrix((row, phi_q[v]) for row, m in tracked for v in m))
+
+        by_type: dict[TypeMatrix, list[frozenset[int]]] = {}
+        for q, (_, mat) in per_clique.items():
+            by_type.setdefault(mat, []).append(q)
+        prev, _, to_prev = slice_of(d - 1, layers[d - 1])
+        sigma: dict[frozenset[int], object] = {}
+        for mat in sorted(by_type, key=canonical_key):
+            qs = sorted(by_type[mat], key=sorted)
+            mapped = [frozenset(to_prev[v] for v in q) for q in qs]
+            colored = color_cliques(prev, mapped)
+            for q, mq in zip(qs, mapped):
+                sigma[q] = colored[mq]
+
+        for q, (phi_q, mat) in per_clique.items():
+            for v, c in phi_q.items():
+                phi[v] = (c, mat, sigma[q], (d + 1) % 3)
+
+    return _parity_repair(phi, layering.layer_of().__getitem__)
 
 
 def _base_sets_coloring(n: int, sets: Sequence[frozenset[int]]) -> dict[int, object]:
@@ -150,16 +229,9 @@ def clique_coloring(seq: KTreeSeq, cliques: Iterable[frozenset[int]]) -> dict[fr
     for q in cliques:
         if len(q) != seq.k + 1 or not g.is_clique(q):
             raise NotAStepClique(f"{sorted(q)} is not a ({seq.k + 1})-clique")
-    raw = _clique_color_raw(seq, cliques)
-    ids: dict[object, int] = {}
-    out = {}
-    for q in sorted(raw, key=lambda s: sorted(s)):
-        val = raw[q]
-        if val not in ids:
-            ids[val] = len(ids)
-        out[q] = ids[val]
-    count = len(set(out.values()))
-    assert tw_clique_bound(seq.k).at_least(count), "clique coloring exceeded its bound"
+    out = _densify(_clique_color_raw(seq, cliques), key=sorted)
+    if not tw_clique_bound(seq.k).at_least(len(set(out.values()))):
+        raise InvariantViolated("clique coloring exceeded its bound")
     return out
 
 
@@ -174,90 +246,22 @@ def _tw_color(
     if k == 0:
         return _base_sets_coloring(g.n, sets)
 
-    ell = len(digraphs)
     layering = bfs_layering(seq)
-    layers = layering.layers
-    chis = [_greedy_layer_coloring(g, layer, k) for layer in layers]
-    completions: dict[int, Completion] = {}
+    chis = [_greedy_layer_coloring(g, layer, k) for layer in layering.layers]
 
-    def completion_of_layer(d: int) -> Completion:
-        if d not in completions:
-            completions[d] = layer_completion(seq, layers[d])
-        return completions[d]
+    def completion(d: int, vs):
+        comp = layer_completion(seq, vs)
+        return comp.seq, comp.seq.n, comp.to_local
 
-    phi: dict[int, object] = {}
-    for v in sorted(layers[0]):
-        phi[v] = (chis[0][v], -1, -1, 1 % 3)
+    def parent_rows(d: int, q: frozenset[int], vq: set[int]):
+        # A parent k-clique holds one vertex of each layer color 1..k.
+        chi = chis[d - 1]
+        by_color = sorted(q, key=chi.__getitem__)
+        return [(("N", i, chi[u]), h.out_neighbors(u) & vq)
+                for i, h in enumerate(digraphs) for u in by_color]
 
-    for d in range(1, len(layers)):
-        layer = layers[d]
-        prev = layers[d - 1]
-        chi_prev = chis[d - 1]
-        # Group the layer's components by parent clique.
-        children: dict[frozenset[int], set[int]] = {}
-        for comp, parents in _component_parents(g, layer, prev):
-            assert len(parents) == k and g.is_clique(parents), "parent set is not a k-clique"
-            children.setdefault(parents, set()).update(comp)
-
-        per_clique: dict[frozenset[int], tuple[dict[int, object], TypeMatrix]] = {}
-        for q in sorted(children, key=lambda s: sorted(s)):
-            vq = children[q]
-            comp = layer_completion(seq, vq)
-            loc = comp.to_local
-            sub_n = comp.seq.n
-            sub_digraphs = [
-                DiGraph(sub_n, ((loc[a], loc[b]) for a, b in h.arcs
-                                if a in loc and b in loc))
-                for h in digraphs
-            ]
-            vertex_of_color = {chi_prev[u]: u for u in q}
-            tracked: list[tuple[tuple, frozenset[int]]] = []
-            for j, m in enumerate(sets):
-                tracked.append((("M", j), frozenset(m) & vq))
-            for i, h_digraph in enumerate(digraphs):
-                for h in range(1, k + 1):
-                    vh = vertex_of_color[h]
-                    tracked.append((("N", i, h), h_digraph.out_neighbors(vh) & vq))
-            sub_sets = [frozenset(loc[v] for v in m) for _, m in tracked]
-            raw = _tw_color(comp.seq, sub_digraphs, sub_sets)
-            phi_q = {v: raw[loc[v]] for v in vq}
-            cells = []
-            for (row, m) in tracked:
-                for v in m:
-                    cells.append((row, phi_q[v]))
-            per_clique[q] = (phi_q, TypeMatrix(cells))
-
-        by_type: dict[TypeMatrix, list[frozenset[int]]] = {}
-        for q, (_, mat) in per_clique.items():
-            by_type.setdefault(mat, []).append(q)
-        sigma: dict[frozenset[int], object] = {}
-        prev_comp = completion_of_layer(d - 1)
-        for mat in sorted(by_type, key=canonical_key):
-            qs = sorted(by_type[mat], key=lambda s: sorted(s))
-            local_cliques = [frozenset(prev_comp.to_local[v] for v in q) for q in qs]
-            colored = _clique_color_raw(prev_comp.seq, local_cliques)
-            for q, lq in zip(qs, local_cliques):
-                sigma[q] = colored[lq]
-
-        for q, (phi_q, mat) in per_clique.items():
-            for v in phi_q:
-                phi[v] = (phi_q[v], mat, sigma[q], (d + 1) % 3)
-
-    # Layer-parity repair: every color must appear on an odd number of
-    # layers; an even class is renamed on its lowest layer.
-    layer_of = layering.layer_of()
-    occupied: dict[object, set[int]] = {}
-    for v, c in phi.items():
-        occupied.setdefault(c, set()).add(layer_of[v])
-    renamed: dict[object, int] = {}
-    for c in sorted(occupied, key=canonical_key):
-        if len(occupied[c]) % 2 == 0:
-            renamed[c] = min(occupied[c])
-    out: dict[int, object] = {}
-    for v, c in phi.items():
-        flag = 1 if c in renamed and layer_of[v] == renamed[c] else 0
-        out[v] = (c, flag)
-    return out
+    return _layered_color(g, layering, chis[0], (k,), digraphs, sets,
+                          completion, _tw_color, parent_rows, _clique_color_raw)
 
 
 def color_tw(
@@ -274,9 +278,8 @@ def color_tw(
     g = build_ktree(seq)
     digraphs = list(digraphs) or [DiGraph(g.n)]
     sets = [frozenset(m) for m in sets] or [frozenset()]
-    _validate_inputs(g, digraphs, sets)
-    raw = _tw_color(seq, digraphs, sets)
-    coloring = Coloring.from_values(raw)
-    bound = tw_bound(seq.k, len(digraphs), len(sets))
-    assert bound.at_least(coloring.num_colors()), "treewidth coloring exceeded its bound"
+    check_constraints(g, digraphs, sets)
+    coloring = Coloring.from_values(_tw_color(seq, digraphs, sets))
+    if not tw_bound(seq.k, len(digraphs), len(sets)).at_least(coloring.num_colors()):
+        raise InvariantViolated("treewidth coloring exceeded its bound")
     return coloring

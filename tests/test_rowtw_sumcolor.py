@@ -1,15 +1,23 @@
 """Product, summand, and clique-sum colorings."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from strongodd import InvariantViolated
+from strongodd.bounds import Bound
 from strongodd.experiments import random_sum_desc, random_subdigraph, random_subsets
 from strongodd.gadgets import gen_random_partial_ktree
 from strongodd.graphs import DiGraph, Graph, join_with_clique, strong_product
 from strongodd.ktree import KTreeSeq, build_ktree
 from strongodd.rowtw import color_rtw
+from strongodd.solver import ConstraintSet, chi_so_constrained
 from strongodd.sumcolor import (
     UntaggedClique,
     color_sum,
@@ -18,7 +26,7 @@ from strongodd.sumcolor import (
     tag_cliques,
 )
 from strongodd.sums import SumDesc, Summand, build_sum
-from strongodd.treewidth import InputNotSubgraph
+from strongodd.treewidth import InputNotSubgraph, color_tw
 from strongodd.verify import (
     is_proper,
     is_strong_odd,
@@ -185,3 +193,83 @@ class TestSumCliqueColoring:
             for v in range(s.graph.n):
                 around = Counter(sigma[q] for q in sigma if v in q)
                 assert all(c % 2 == 1 for c in around.values())
+
+
+PATH3 = KTreeSeq.make(1, [(1, [0]), (2, [1])])
+PATH3_GRAPH = build_ktree(PATH3)
+PATH_SUMMAND = Summand(KTreeSeq.make(0, [(0, [])]), 3)
+PATH5_SUM = SumDesc(1, 0, 0, (PATH_SUMMAND, PATH_SUMMAND), (((2,), (0,)),))
+
+# name -> (host graph, call taking one digraph constraint and the tracked sets)
+ENTRY_POINTS = {
+    "color_tw": (PATH3_GRAPH, lambda d, sets: color_tw(PATH3, [d], sets)),
+    "color_rtw": (strong_product(PATH3_GRAPH, 2),
+                  lambda d, sets: color_rtw(PATH3, 2, d, sets)),
+    "color_summand": (join_with_clique(strong_product(PATH3_GRAPH, 2), 1),
+                      lambda d, sets: color_summand(PATH3, 2, 1, d, sets)),
+    "color_sum": (build_sum(PATH5_SUM).graph, lambda d, sets: color_sum(PATH5_SUM, d, sets)),
+    "chi_so_constrained": (PATH3_GRAPH, lambda d, sets: chi_so_constrained(
+        PATH3_GRAPH, ConstraintSet((d,), tuple(frozenset(m) for m in sets)))),
+}
+
+
+def _non_edge_arc(g):
+    u, v = next((u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v))
+    return DiGraph(g.n, [(u, v)]), []
+
+
+BAD_INPUTS = {
+    "arc_not_an_edge": _non_edge_arc,
+    "digraph_wrong_n": lambda g: (DiGraph(g.n + 1), []),
+    "set_out_of_range": lambda g: (DiGraph(g.n), [[g.n]]),
+}
+
+
+class TestSharedChecks:
+    @pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_constraint_check_rejects(self, entry, bad):
+        host, call = ENTRY_POINTS[entry]
+        digraph, sets = BAD_INPUTS[bad](host)
+        with pytest.raises(InputNotSubgraph):
+            call(digraph, sets)
+
+    @pytest.mark.parametrize("module, bound, call", [
+        ("treewidth", "tw_bound", lambda: color_tw(PATH3)),
+        ("sumcolor", "sum_bound", lambda: color_sum(PATH5_SUM)),
+    ])
+    def test_exceeded_bound_raises(self, monkeypatch, module, bound, call):
+        monkeypatch.setattr(f"strongodd.{module}.{bound}", lambda *args: Bound(1))
+        with pytest.raises(InvariantViolated):
+            call()
+
+    def test_checks_survive_optimize_flag(self):
+        code = textwrap.dedent("""
+            from strongodd import InvariantViolated, KTreeSeq, build_ktree, build_sum
+            from strongodd import is_proper, sumcolor, treewidth
+            from strongodd.bounds import Bound
+            from strongodd.sums import SumDesc, Summand
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            seq = KTreeSeq.make(1, [(1, [0]), (2, [1])])
+            path = Summand(KTreeSeq.make(0, [(0, [])]), 3)
+            desc = SumDesc(1, 0, 0, (path, path), (((2,), (0,)),))
+            if not is_proper(build_ktree(seq), treewidth.color_tw(seq)).ok:
+                raise SystemExit("color_tw output is not proper")
+            if not is_proper(build_sum(desc).graph, sumcolor.color_sum(desc)).ok:
+                raise SystemExit("color_sum output is not proper")
+            treewidth.tw_bound = sumcolor.sum_bound = lambda *args: Bound(1)
+            for call in (lambda: treewidth.color_tw(seq), lambda: sumcolor.color_sum(desc)):
+                try:
+                    call()
+                except InvariantViolated:
+                    continue
+                raise SystemExit("exceeded bound went unnoticed")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
