@@ -2,7 +2,8 @@
 
 All subcommands read JSON on stdin (or --file) and write JSON on stdout, so
 pipelines compose without temp files.  Exit codes: 0 ok, 1 verification
-failure or infeasibility, 2 malformed input.
+failure or infeasibility, 2 malformed input, 3 internal error (a broken
+guarantee of the library itself).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .gadgets import (
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
 )
-from .graphs import DiGraph, Graph, GraphError, MultiplicityRule, ODD_RULE
+from .graphs import DiGraph, Graph, GraphError, InvariantViolated, MultiplicityRule, ODD_RULE
 from .ktree import InvalidStep, bfs_layering, build_ktree, validate_bfs_properties
 from .outerplanar import NotOuterplanarWitness, color_outerplanar
 from .rowtw import color_rtw
@@ -322,6 +323,9 @@ def run(argv=None) -> int:
             KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantViolated as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():  # pragma: no cover - thin wrapper

@@ -109,7 +109,11 @@ def bfs_layering(seq: KTreeSeq) -> Layering:
     """
     if seq.k < 1:
         raise InvalidStep("bfs_layering requires k >= 1")
-    g = build_ktree(seq)
+    return _bfs_layering(seq, build_ktree(seq))
+
+
+def _bfs_layering(seq: KTreeSeq, g: Graph) -> Layering:
+    """:func:`bfs_layering` on the already built host ``g`` of ``seq``."""
     dist = g.bfs_distances(seq.initial)  # distance-to-root minus one
     top = max(d for d in dist if d is not None)
     layers = [set() for _ in range(top + 1)]
@@ -126,15 +130,17 @@ class Completion:
 
     ``seq`` is the completion's own construction sequence in local ids;
     ``to_local`` maps original vertices into it.  Local ids >= len(vertices)
-    that are not images of real vertices are padding.
+    that are not images of real vertices are padding.  ``host`` is the
+    completion's graph, built once when the completion is.
     """
 
     seq: KTreeSeq
     to_local: dict[int, int]
     from_local: tuple[Optional[int], ...]
+    host: Graph = field(compare=False, repr=False)
 
     def graph(self) -> Graph:
-        return build_ktree(self.seq)
+        return self.host
 
 
 class CompletionError(ValueError):
@@ -149,11 +155,15 @@ def layer_completion(seq: KTreeSeq, vertices: Iterable[int]) -> Completion:
     k-1 (guaranteed for genuine BFS layers), which is extended to a full
     attachment clique inside the completion being built.
     """
+    return _layer_completion(seq, build_ktree(seq), vertices)
+
+
+def _layer_completion(seq: KTreeSeq, g: Graph, vertices: Iterable[int]) -> Completion:
+    """:func:`layer_completion` on the already built host ``g`` of ``seq``."""
     kk = seq.k - 1
     if kk < 0:
         raise CompletionError("layer completions need k >= 1")
     order = sorted(set(vertices))
-    g = build_ktree(seq)
     pos = {v: i for i, v in enumerate(order)}
 
     m = len(order)
@@ -163,7 +173,7 @@ def layer_completion(seq: KTreeSeq, vertices: Iterable[int]) -> Completion:
         comp_seq = KTreeSeq(kk, initial, ())
         to_local = {v: i for i, v in enumerate(order)}
         from_local = tuple(order[i] if i < m else None for i in range(kk))
-        return Completion(comp_seq, to_local, from_local)
+        return Completion(comp_seq, to_local, from_local, build_ktree(comp_seq))
 
     to_local = {v: i for i, v in enumerate(order)}
     from_local = tuple(order)
@@ -210,7 +220,7 @@ def layer_completion(seq: KTreeSeq, vertices: Iterable[int]) -> Completion:
         for w in g.neighbors(u):
             if w in pos and not comp_g.has_edge(pos[u], pos[w]):  # pragma: no cover
                 raise CompletionError(f"slice edge ({u},{w}) missing from completion")
-    return Completion(comp_seq, to_local, from_local)
+    return Completion(comp_seq, to_local, from_local, comp_g)
 
 
 @dataclass
@@ -285,7 +295,7 @@ def validate_bfs_properties(seq: KTreeSeq, layering: Layering) -> PropertyReport
     b3_ok, b3_witness = True, None
     for i, layer in enumerate(layers):
         try:
-            layer_completion(seq, layer)
+            _layer_completion(seq, g, layer)
         except CompletionError as exc:
             b3_ok, b3_witness = False, (i, str(exc))
             break

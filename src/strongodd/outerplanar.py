@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Coloring, Graph
-from .ktree import KTreeSeq, build_ktree
+from .graphs import Coloring, Graph, InvariantViolated
+from .ktree import KTreeSeq, _bfs_layering, build_ktree
 
 
 class NotOuterplanarWitness(ValueError):
@@ -105,7 +105,7 @@ def _rename_high(i: int, j: int) -> dict[int, int]:
             out = {c: c for c in range(1, 6)}
             out.update(pi)
             return out
-    raise AssertionError("no admissible renaming")  # pragma: no cover
+    raise InvariantViolated("no admissible renaming")  # pragma: no cover
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +343,8 @@ def _extend_core(
             break
     else:
         flat = _dfs_extension(ri, rj, p, q, vmask)
-        assert flat is not None, "gadget admits no valid extension"
+        if flat is None:
+            raise InvariantViolated("gadget admits no valid extension")
         u, w = flat[:p], flat[p:]
     inv = dict(inv_key)
     return (
@@ -430,13 +431,16 @@ def _path_components(g: Graph, layer: frozenset[int]) -> list[list[int]]:
 
 def validate_outerplanar_structure(seq: KTreeSeq) -> None:
     """Check the path-layer structure the coloring relies on."""
+    _validated_host(seq)
+
+
+def _validated_host(seq: KTreeSeq) -> Graph:
+    """Build the 2-tree host of ``seq`` once, check its path-layer
+    structure, and return it."""
     if seq.k != 2:
         raise NotOuterplanarWitness("witness must be a 2-tree sequence")
-    from .ktree import bfs_layering
-
     g = build_ktree(seq)
-    layering = bfs_layering(seq)
-    layers = layering.layers
+    layers = _bfs_layering(seq, g).layers
     if len(layers[0]) != 2 or not g.is_clique(layers[0]):
         raise NotOuterplanarWitness("first layer is not an edge")
     for idx in range(1, len(layers)):
@@ -471,6 +475,7 @@ def validate_outerplanar_structure(seq: KTreeSeq) -> None:
             la, ra = side_anchor(left), side_anchor(right)
             if len(la) > 1 or len(ra) > 1 or (la and la == ra):
                 raise NotOuterplanarWitness(f"path {path} mixes its two subpaths")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +530,8 @@ class _Host:
         cur = start
         while True:
             kids = self.children_of(cur, anchor)
-            assert len(kids) <= 1, "branching chain; host is not simple"
+            if len(kids) > 1:
+                raise InvariantViolated("branching chain; host is not simple")
             if not kids:
                 return out
             cur = kids[0]
@@ -578,7 +584,8 @@ def _plan_path(host: _Host, shared: int, x: int, y: int) -> Optional[list[_Insta
         if e is None:
             return None, [], []
         kids = host.children_of(*e)
-        assert len(kids) <= 1, "two shared children on one edge"
+        if len(kids) > 1:
+            raise InvariantViolated("two shared children on one edge")
         if not kids:
             return None, [], []
         s = kids[0]
@@ -616,7 +623,8 @@ def _plan_path(host: _Host, shared: int, x: int, y: int) -> Optional[list[_Insta
 
     def grown_stub(t: int, need_shared: bool, need_near: int, need_far: int):
         e = edge_at(t)
-        assert e is not None
+        if e is None:
+            raise InvariantViolated(f"path padding left no edge at position {t}")
         s, near, far = stub(t)
         if s is None and (need_shared or need_near or need_far):
             s = host.attach(*e)
@@ -663,8 +671,10 @@ def _plan_path(host: _Host, shared: int, x: int, y: int) -> Optional[list[_Insta
                 u1=far_r[0], u2=s_r, w2=path_at(t - 1), w1=path_at(t - 2),
                 u_ext=list(near_r), w_ext=[s_l] + far_l,
             )
-        assert len(inst.u_ext) >= 2 and len(inst.w_ext) >= 2, "stub padding failed"
-        assert None not in (inst.u1, inst.u2, inst.w2, inst.w1), "path padding failed"
+        if len(inst.u_ext) < 2 or len(inst.w_ext) < 2:
+            raise InvariantViolated("stub padding failed")
+        if None in (inst.u1, inst.u2, inst.w2, inst.w1):
+            raise InvariantViolated("path padding failed")
         instances.append(inst)
     return instances
 
@@ -673,8 +683,7 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     """8-coloring of the host whose restriction to the masked subgraph is
     strong odd.  ``mask`` is the subgraph's edge set (or a Graph on the host's
     vertices with a subset of its edges)."""
-    validate_outerplanar_structure(seq)
-    host_graph = build_ktree(seq)
+    host_graph = _validated_host(seq)
     if isinstance(mask, Graph):
         if mask.n != host_graph.n:
             raise NotOuterplanarWitness("mask graph has a different vertex count")
@@ -731,7 +740,8 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
 def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) -> None:
     slots = [inst.x, inst.y, inst.center, inst.u2, inst.w2]
     cols = [psi[s] for s in slots]
-    assert len(set(cols)) == 5, f"precolored slots collide: {cols}"
+    if len(set(cols)) != 5:
+        raise InvariantViolated(f"precolored slots collide: {cols}")
     canonical = {inst.x: 2, inst.y: 3, inst.center: 5, inst.u2: 1, inst.w2: 4}
     rename = {psi[s]: canonical[s] for s in slots}
     free = sorted(set(range(1, 9)) - set(rename))
@@ -741,8 +751,10 @@ def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) 
     inverse = {dst: src for src, dst in rename.items()}
     i = rename[psi[inst.u1]]
     j = rename[psi[inst.w1]]
-    assert i not in (1, 2, 5), "u1 precondition violated"
-    assert j not in (3, 4, 5), "w1 precondition violated"
+    if i in (1, 2, 5):
+        raise InvariantViolated("u1 precondition violated")
+    if j in (3, 4, 5):
+        raise InvariantViolated("w1 precondition violated")
 
     v = inst.center
     vmask = (
@@ -757,9 +769,7 @@ def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) 
     for r, w in enumerate(inst.w_ext):
         vmask |= in_mask(v, w) << (4 + p + r)
     ucol, wcol = _extend_core(i, j, p, q, vmask)
-    for u, col in zip(inst.u_ext, ucol):
-        assert u not in psi, "stub vertex colored twice"
-        psi[u] = inverse[col]
-    for w, col in zip(inst.w_ext, wcol):
-        assert w not in psi, "stub vertex colored twice"
-        psi[w] = inverse[col]
+    for x, col in zip(inst.u_ext + inst.w_ext, ucol + wcol):
+        if x in psi:
+            raise InvariantViolated("stub vertex colored twice")
+        psi[x] = inverse[col]

@@ -26,7 +26,8 @@ def _rtw_color(
     arcs: DiGraph,
     sets: Sequence[frozenset[int]],
 ) -> dict[int, object]:
-    nh = build_ktree(h_seq).n
+    h = build_ktree(h_seq)
+    nh = h.n
     by_layer_arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, b in arcs.arcs:
         (u, da) = product_coords(a, nh)
@@ -42,7 +43,7 @@ def _rtw_color(
         local_sets = [
             frozenset(u for u in range(nh) if d * nh + u in m) for m in sets
         ]
-        gamma = _tw_color(h_seq, projected, local_sets)
+        gamma = _tw_color(h_seq, h, projected, local_sets)
         cells = []
         for j, m in enumerate(local_sets):
             for u in m:

@@ -310,7 +310,8 @@ def _disjoint_sum_color(
             )
             for j in range(len(sets))
         ]
-        sig = _tw_color(zero_tree, [DiGraph(len(members))], marks or [frozenset()])
+        sig = _tw_color(zero_tree, build_ktree(zero_tree), [DiGraph(len(members))],
+                        marks or [frozenset()])
         for idx, i in enumerate(members):
             sigma[i] = sig[idx]
 

@@ -25,12 +25,13 @@ from .canon import canonical_key
 from .graphs import Coloring, DiGraph, Graph, InputNotSubgraph, InvariantViolated
 from .graphs import _densify, check_constraints
 from .ktree import (
+    Completion,
     KTreeSeq,
     Layering,
-    bfs_layering,
     build_ktree,
-    layer_completion,
+    _bfs_layering,
     _component_parents,
+    _layer_completion,
 )
 
 
@@ -44,15 +45,19 @@ class TypeMatrix:
     Only the 1-cells are stored; rows are keyed semantically (("M", j) for
     tracked sets, ("N", i, h) for digraph/parent-vertex rows) and columns by
     the color values themselves, so matrices of equal meaning compare equal
-    regardless of how many colors the palette bound would allow.
+    regardless of how many colors the palette bound would allow.  The hash
+    is computed once: matrices sit nested inside every structured color
+    value, which is hashed on each dict or set operation.
     """
 
-    __slots__ = ("entries", "_key")
+    __slots__ = ("entries", "_key", "_hash")
 
     def __init__(self, cells: Iterable[tuple[tuple, object]]):
         entries = tuple(sorted(set(cells), key=canonical_key))
+        key = tuple(canonical_key(e) for e in entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_key", tuple(canonical_key(e) for e in entries))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("TypeMatrix is immutable")
@@ -64,7 +69,7 @@ class TypeMatrix:
         return isinstance(other, TypeMatrix) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         return f"TypeMatrix({len(self.entries)} ones)"
@@ -85,14 +90,12 @@ def _pull_back(slice_of, color, d: int, vs, digraphs, sets) -> dict[int, object]
 
 def _parity_repair(phi: Mapping[int, object], layer_of: Callable[[int], int]) -> dict[int, object]:
     """Every color must appear on an odd number of layers; an even class is
-    renamed on its lowest layer."""
+    renamed on its lowest layer.  Each class is renamed by its own layer set
+    alone, so the classes are visited in any order."""
     occupied: dict[object, set[int]] = {}
     for v, c in phi.items():
         occupied.setdefault(c, set()).add(layer_of(v))
-    renamed: dict[object, int] = {}
-    for c in sorted(occupied, key=canonical_key):
-        if len(occupied[c]) % 2 == 0:
-            renamed[c] = min(occupied[c])
+    renamed = {c: min(ls) for c, ls in occupied.items() if len(ls) % 2 == 0}
     return {
         v: (c, 1 if c in renamed and layer_of(v) == renamed[c] else 0)
         for v, c in phi.items()
@@ -201,10 +204,11 @@ def _rep_map(seq: KTreeSeq) -> dict[frozenset[int], int]:
 
 
 def _clique_color_raw(
-    seq: KTreeSeq, cliques: Sequence[frozenset[int]]
+    seq: KTreeSeq, g: Graph, cliques: Sequence[frozenset[int]]
 ) -> dict[frozenset[int], object]:
     """Clique coloring via representatives: strong odd around every vertex,
-    all classes odd.  Values come from a recursive vertex coloring."""
+    all classes odd.  Values come from a recursive vertex coloring of the
+    k-tree ``g`` built from ``seq``."""
     reps = _rep_map(seq)
     chosen: dict[frozenset[int], int] = {}
     for q in cliques:
@@ -216,7 +220,7 @@ def _clique_color_raw(
         for p in q - {r}:
             arcs.append((p, r))
     marked = frozenset(chosen.values())
-    psi = _tw_color(seq, [DiGraph(seq.n, arcs)], [marked])
+    psi = _tw_color(seq, g, [DiGraph(seq.n, arcs)], [marked])
     return {q: psi[r] for q, r in chosen.items()}
 
 
@@ -229,7 +233,7 @@ def clique_coloring(seq: KTreeSeq, cliques: Iterable[frozenset[int]]) -> dict[fr
     for q in cliques:
         if len(q) != seq.k + 1 or not g.is_clique(q):
             raise NotAStepClique(f"{sorted(q)} is not a ({seq.k + 1})-clique")
-    out = _densify(_clique_color_raw(seq, cliques), key=sorted)
+    out = _densify(_clique_color_raw(seq, g, cliques), key=sorted)
     if not tw_clique_bound(seq.k).at_least(len(set(out.values()))):
         raise InvariantViolated("clique coloring exceeded its bound")
     return out
@@ -237,21 +241,29 @@ def clique_coloring(seq: KTreeSeq, cliques: Iterable[frozenset[int]]) -> dict[fr
 
 def _tw_color(
     seq: KTreeSeq,
+    g: Graph,
     digraphs: Sequence[DiGraph],
     sets: Sequence[frozenset[int]],
 ) -> dict[int, object]:
-    """Raw recursive coloring; returns structured color values per vertex."""
+    """Raw recursive coloring of the k-tree ``g`` built from ``seq``; returns
+    structured color values per vertex.  Each subinstance is a layer
+    completion, whose graph is built once and passed down with it."""
     k = seq.k
-    g = build_ktree(seq)
     if k == 0:
         return _base_sets_coloring(g.n, sets)
 
-    layering = bfs_layering(seq)
+    layering = _bfs_layering(seq, g)
     chis = [_greedy_layer_coloring(g, layer, k) for layer in layering.layers]
 
     def completion(d: int, vs):
-        comp = layer_completion(seq, vs)
-        return comp.seq, comp.seq.n, comp.to_local
+        comp = _layer_completion(seq, g, vs)
+        return comp, comp.seq.n, comp.to_local
+
+    def color(comp: Completion, sub_digraphs, sub_sets):
+        return _tw_color(comp.seq, comp.graph(), sub_digraphs, sub_sets)
+
+    def color_cliques(comp: Completion, cliques):
+        return _clique_color_raw(comp.seq, comp.graph(), cliques)
 
     def parent_rows(d: int, q: frozenset[int], vq: set[int]):
         # A parent k-clique holds one vertex of each layer color 1..k.
@@ -261,7 +273,7 @@ def _tw_color(
                 for i, h in enumerate(digraphs) for u in by_color]
 
     return _layered_color(g, layering, chis[0], (k,), digraphs, sets,
-                          completion, _tw_color, parent_rows, _clique_color_raw)
+                          completion, color, parent_rows, color_cliques)
 
 
 def color_tw(
@@ -279,7 +291,7 @@ def color_tw(
     digraphs = list(digraphs) or [DiGraph(g.n)]
     sets = [frozenset(m) for m in sets] or [frozenset()]
     check_constraints(g, digraphs, sets)
-    coloring = Coloring.from_values(_tw_color(seq, digraphs, sets))
+    coloring = Coloring.from_values(_tw_color(seq, g, digraphs, sets))
     if not tw_bound(seq.k, len(digraphs), len(sets)).at_least(coloring.num_colors()):
         raise InvariantViolated("treewidth coloring exceeded its bound")
     return coloring

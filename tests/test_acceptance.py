@@ -32,6 +32,7 @@ def test_outerplanar_le_8():
     assert result["status"] == "pass", result["details"]
 
 
+@pytest.mark.slow
 def test_claim_exhaustive():
     result = _run(experiments.crit_claim_exhaustive)
     assert result["status"] == "pass", result["details"]

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from strongodd import treewidth
+from strongodd.bounds import Bound
 from strongodd.cli import run
 
 
@@ -99,6 +101,18 @@ class TestColor:
         # must hold.
         code, out = invoke(["verify", "--notion", "proper"], out)
         assert code == 0
+
+
+class TestExitCodes:
+    def test_internal_error_exits_three(self, monkeypatch, capsys):
+        code, out = invoke(["gen", "--gadget", "ktree",
+                            "--params", "k=2,steps=10", "--seed", "1"])
+        assert code == 0
+        monkeypatch.setattr(treewidth, "tw_bound", lambda *args: Bound(1))
+        code, _ = invoke(["color", "--algo", "tw"], out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 class TestLayering:

@@ -141,6 +141,33 @@ class TestColorSum:
             color_sum(desc, arcs, []).assignment
 
 
+class TestCallHistory:
+    def test_outputs_do_not_depend_on_earlier_calls(self):
+        # A host or subinstance kept across top-level calls would show here.
+        tw_a = gen_random_partial_ktree(2, 40, 1.0, seed=1)[0]
+        tw_b = gen_random_partial_ktree(2, 40, 1.0, seed=2)[0]
+        sum_a = random_sum_desc(2, 1, 1, 4, seed=8)
+        sum_b = random_sum_desc(2, 1, 1, 4, seed=9)
+
+        def run(seq, desc):
+            outs = []
+            for g, color in ((build_ktree(seq), lambda d, m: color_tw(seq, [d], m)),
+                             (build_sum(desc).graph, lambda d, m: color_sum(desc, d, m))):
+                d = random_subdigraph(g, random.Random(g.n))
+                m = random_subsets(g.n, 2, random.Random(g.n + 1))
+                c = color(d, m)
+                assert is_proper(g, c).ok and is_strong_odd_directed(d, c).ok
+                assert all(is_strong_odd_on_set(c, x) for x in m)
+                outs.append(c)
+            return outs
+
+        first = run(tw_a, sum_a)
+        run(tw_b, sum_b)
+        again = run(tw_a, sum_a)
+        for c, d in zip(first, again):
+            assert c.assignment == d.assignment and c.tuples == d.tuples
+
+
 class TestSumCliqueColoring:
     def _random_cliques(self, g, rng, count=6):
         cliques = set()
@@ -245,13 +272,19 @@ class TestSharedChecks:
 
     def test_checks_survive_optimize_flag(self):
         code = textwrap.dedent("""
-            from strongodd import InvariantViolated, KTreeSeq, build_ktree, build_sum
-            from strongodd import is_proper, sumcolor, treewidth
+            from strongodd import Graph, InvariantViolated, KTreeSeq, build_ktree, build_sum
+            from strongodd import gen_random_maximal_outerplanar, is_proper, is_strong_odd
+            from strongodd import outerplanar, sumcolor, treewidth
             from strongodd.bounds import Bound
             from strongodd.sums import SumDesc, Summand
 
             if __debug__:
                 raise SystemExit("not running under -O")
+            host = gen_random_maximal_outerplanar(40, seed=3)
+            mask = Graph(host.n, build_ktree(host).edge_list()[::2])
+            c = outerplanar.color_outerplanar(host, mask)
+            if not is_strong_odd(mask, c).ok or c.num_colors() > 8:
+                raise SystemExit("color_outerplanar output is not a strong odd 8-coloring")
             seq = KTreeSeq.make(1, [(1, [0]), (2, [1])])
             path = Summand(KTreeSeq.make(0, [(0, [])]), 3)
             desc = SumDesc(1, 0, 0, (path, path), (((2,), (0,)),))

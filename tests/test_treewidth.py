@@ -15,6 +15,7 @@ from strongodd.treewidth import (
     InputNotSubgraph,
     NotAStepClique,
     TypeMatrix,
+    _parity_repair,
     clique_coloring,
     color_tw,
 )
@@ -150,6 +151,19 @@ class TestTypeMatrix:
         a = TypeMatrix([(("M", 0), 5), (("N", 0, 1), 7)])
         b = TypeMatrix([(("N", 0, 1), 7), (("M", 0), 5)])
         assert a == b and hash(a) == hash(b)
+        # Shuffled and repeated cells holding nested matrices; the hash
+        # cached at construction is the hash of the canonical key.
+        inner = TypeMatrix([(("M", 0), (1, 0))])
+        cells = [(("M", j), (c, inner, j % 3)) for j in range(4) for c in range(3)]
+        cells += [(("N", 0, h), ("apex", h)) for h in range(3)]
+        mats = []
+        for seed in range(8):
+            shuffled = list(cells)
+            random.Random(seed).shuffle(shuffled)
+            mats.append(TypeMatrix(shuffled + shuffled[:5]))
+        for m in mats + [a]:
+            assert hash(m) == hash(m.canonical_key())
+        assert all(m == mats[0] and hash(m) == hash(mats[0]) for m in mats)
 
     def test_inequality(self):
         assert TypeMatrix([(("M", 0), 5)]) != TypeMatrix([(("M", 1), 5)])
@@ -158,3 +172,21 @@ class TestTypeMatrix:
         m = TypeMatrix([])
         with pytest.raises(AttributeError):
             m.entries = ()
+
+
+class TestParityRepair:
+    def test_insertion_order_is_irrelevant(self):
+        mat = TypeMatrix([(("M", 0), 1)])
+        rng = random.Random(3)
+        phi = {v: (rng.randrange(4), mat if v % 2 else 0, rng.randrange(2))
+               for v in range(60)}
+        layer_of = lambda v: v // 7
+        expected = _parity_repair(phi, layer_of)
+        for seed in range(10):
+            items = list(phi.items())
+            random.Random(seed).shuffle(items)
+            assert _parity_repair(dict(items), layer_of) == expected
+        spread = {}
+        for v, c in expected.items():
+            spread.setdefault(c, set()).add(layer_of(v))
+        assert all(len(s) % 2 == 1 for s in spread.values())
