@@ -25,8 +25,12 @@ class KTreeSeq:
     """Construction sequence of a k-tree.
 
     ``initial`` must be exactly the vertices 0..k-1 and step vertices must be
-    consecutive from k on.  Clique validity of each step is checked lazily by
-    :meth:`graph` / :func:`build_ktree`.
+    consecutive from k on.  Each step's parent set must be a clique of the
+    prefix graph; this is checked here, without building the graph: a
+    vertex's earlier neighbors are exactly its parents (or the initial
+    vertices below it), so a clique whose latest vertex u is a step vertex
+    lies inside u's parents plus u.  Functions taking a sequence can
+    therefore trust it without building its graph.
     """
 
     k: int
@@ -43,8 +47,13 @@ class KTreeSeq:
                 raise InvalidStep(f"step vertex {v} is not consecutive (expected {self.k + i})")
             if len(parents) != self.k:
                 raise InvalidStep(f"step {v}: parent clique has size {len(parents)} != k")
-            if any(p >= v for p in parents):
-                raise InvalidStep(f"step {v}: parent {max(parents)} not yet inserted")
+            top = max(parents, default=-1)
+            if top >= v:
+                raise InvalidStep(f"step {v}: parent {top} not yet inserted")
+            # top is no parent of its own, so the clique test is: top is
+            # the only parent outside top's parent clique.
+            if top >= self.k and len(parents - self.steps[top - self.k][1]) != 1:
+                raise InvalidStep(f"step {v}: parents {sorted(parents)} are not a clique")
 
     @classmethod
     def make(cls, k: int, steps: Iterable[tuple[int, Iterable[int]]]) -> "KTreeSeq":
@@ -64,22 +73,17 @@ class KTreeSeq:
         """The (k+1)-clique created when step vertex v was attached."""
         return self.parent_clique(v) | {v}
 
+    def earlier_neighbors(self, v: int) -> Iterable[int]:
+        """Neighbors of v inserted before it: its parent clique, or the
+        initial vertices below it."""
+        return range(v) if v < self.k else self.steps[v - self.k][1]
+
 
 def build_ktree(seq: KTreeSeq) -> Graph:
-    """Build the k-tree graph, checking every step clique against the prefix."""
+    """Build the k-tree graph (its step cliques were checked by ``seq``)."""
     edges = list(combinations(seq.initial, 2))
-    adj: list[set[int]] = [set() for _ in range(seq.n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
     for v, parents in seq.steps:
-        for a, b in combinations(sorted(parents), 2):
-            if b not in adj[a]:
-                raise InvalidStep(f"step {v}: parents {sorted(parents)} are not a clique")
-        for p in parents:
-            adj[p].add(v)
-            adj[v].add(p)
-            edges.append((p, v))
+        edges.extend((p, v) for p in parents)
     return Graph(seq.n, edges)
 
 
@@ -105,21 +109,17 @@ def bfs_layering(seq: KTreeSeq) -> Layering:
     """Layers by distance to a virtual root attached to the initial clique.
 
     The root is never materialized; layer 0 of the result is the set of
-    vertices at distance 1 (the initial clique itself).
+    vertices at distance 1 (the initial clique itself).  No graph is built:
+    a step vertex's parent clique separates it from the initial clique, so
+    its distance is one more than its nearest parent's.
     """
     if seq.k < 1:
         raise InvalidStep("bfs_layering requires k >= 1")
-    return _bfs_layering(seq, build_ktree(seq))
-
-
-def _bfs_layering(seq: KTreeSeq, g: Graph) -> Layering:
-    """:func:`bfs_layering` on the already built host ``g`` of ``seq``."""
-    dist = g.bfs_distances(seq.initial)  # distance-to-root minus one
-    top = max(d for d in dist if d is not None)
-    layers = [set() for _ in range(top + 1)]
+    dist = [0] * seq.k  # distance-to-root minus one
+    for _, parents in seq.steps:
+        dist.append(1 + min(dist[p] for p in parents))
+    layers = [set() for _ in range(max(dist) + 1)]
     for v, d in enumerate(dist):
-        if d is None:  # pragma: no cover - k>=1 k-trees are connected
-            raise InvalidStep(f"vertex {v} unreachable from the initial clique")
         layers[d].add(v)
     return Layering(tuple(frozenset(s) for s in layers), "bfs")
 
@@ -131,7 +131,7 @@ class Completion:
     ``seq`` is the completion's own construction sequence in local ids;
     ``to_local`` maps original vertices into it.  Local ids >= len(vertices)
     that are not images of real vertices are padding.  ``host`` is the
-    completion's graph, built once when the completion is.
+    completion's graph, built once for the slice-edge check.
     """
 
     seq: KTreeSeq
@@ -153,13 +153,9 @@ def layer_completion(seq: KTreeSeq, vertices: Iterable[int]) -> Completion:
     Vertices are processed in their original insertion order; each vertex's
     earlier neighbors inside the slice must form a clique of size at most
     k-1 (guaranteed for genuine BFS layers), which is extended to a full
-    attachment clique inside the completion being built.
+    attachment clique inside the completion being built.  Only the slice's
+    own steps are read; the k-tree itself is never built.
     """
-    return _layer_completion(seq, build_ktree(seq), vertices)
-
-
-def _layer_completion(seq: KTreeSeq, g: Graph, vertices: Iterable[int]) -> Completion:
-    """:func:`layer_completion` on the already built host ``g`` of ``seq``."""
     kk = seq.k - 1
     if kk < 0:
         raise CompletionError("layer completions need k >= 1")
@@ -182,9 +178,7 @@ def _layer_completion(seq: KTreeSeq, g: Graph, vertices: Iterable[int]) -> Compl
     attach: dict[int, frozenset[int]] = {}
     for i in range(kk, m):
         v = order[i]
-        earlier = sorted(
-            pos[u] for u in g.neighbors(v) if u in pos and pos[u] < i
-        )
+        earlier = sorted(pos[u] for u in seq.earlier_neighbors(v) if u in pos)
         if len(earlier) > kk:
             raise CompletionError(
                 f"vertex {v} has {len(earlier)} earlier in-slice neighbors > {kk}"
@@ -216,10 +210,10 @@ def _layer_completion(seq: KTreeSeq, g: Graph, vertices: Iterable[int]) -> Compl
     comp_seq = KTreeSeq(kk, tuple(range(kk)), tuple(steps))
     # Sanity: the completion must contain every slice edge.
     comp_g = build_ktree(comp_seq)
-    for u in order:
-        for w in g.neighbors(u):
-            if w in pos and not comp_g.has_edge(pos[u], pos[w]):  # pragma: no cover
-                raise CompletionError(f"slice edge ({u},{w}) missing from completion")
+    for i, v in enumerate(order):
+        for u in seq.earlier_neighbors(v):
+            if u in pos and not comp_g.has_edge(pos[u], i):  # pragma: no cover
+                raise CompletionError(f"slice edge ({u},{v}) missing from completion")
     return Completion(comp_seq, to_local, from_local, comp_g)
 
 
@@ -295,7 +289,7 @@ def validate_bfs_properties(seq: KTreeSeq, layering: Layering) -> PropertyReport
     b3_ok, b3_witness = True, None
     for i, layer in enumerate(layers):
         try:
-            _layer_completion(seq, g, layer)
+            layer_completion(seq, layer)
         except CompletionError as exc:
             b3_ok, b3_witness = False, (i, str(exc))
             break

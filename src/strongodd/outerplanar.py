@@ -23,7 +23,7 @@ from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Coloring, Graph, InvariantViolated
-from .ktree import KTreeSeq, _bfs_layering, build_ktree
+from .ktree import KTreeSeq, build_ktree
 
 
 class NotOuterplanarWitness(ValueError):
@@ -429,18 +429,16 @@ def _path_components(g: Graph, layer: frozenset[int]) -> list[list[int]]:
     return comps
 
 
-def validate_outerplanar_structure(seq: KTreeSeq) -> None:
-    """Check the path-layer structure the coloring relies on."""
-    _validated_host(seq)
-
-
-def _validated_host(seq: KTreeSeq) -> Graph:
-    """Build the 2-tree host of ``seq`` once, check its path-layer
-    structure, and return it."""
+def validate_outerplanar_structure(seq: KTreeSeq) -> Graph:
+    """Check the path-layer structure the coloring relies on; return the
+    2-tree host, built once for the check."""
     if seq.k != 2:
         raise NotOuterplanarWitness("witness must be a 2-tree sequence")
+    from .ktree import bfs_layering
+
     g = build_ktree(seq)
-    layers = _bfs_layering(seq, g).layers
+    layering = bfs_layering(seq)
+    layers = layering.layers
     if len(layers[0]) != 2 or not g.is_clique(layers[0]):
         raise NotOuterplanarWitness("first layer is not an edge")
     for idx in range(1, len(layers)):
@@ -683,7 +681,7 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     """8-coloring of the host whose restriction to the masked subgraph is
     strong odd.  ``mask`` is the subgraph's edge set (or a Graph on the host's
     vertices with a subset of its edges)."""
-    host_graph = _validated_host(seq)
+    host_graph = validate_outerplanar_structure(seq)
     if isinstance(mask, Graph):
         if mask.n != host_graph.n:
             raise NotOuterplanarWitness("mask graph has a different vertex count")
@@ -769,7 +767,11 @@ def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) 
     for r, w in enumerate(inst.w_ext):
         vmask |= in_mask(v, w) << (4 + p + r)
     ucol, wcol = _extend_core(i, j, p, q, vmask)
-    for x, col in zip(inst.u_ext + inst.w_ext, ucol + wcol):
-        if x in psi:
+    for u, col in zip(inst.u_ext, ucol):
+        if u in psi:
             raise InvariantViolated("stub vertex colored twice")
-        psi[x] = inverse[col]
+        psi[u] = inverse[col]
+    for w, col in zip(inst.w_ext, wcol):
+        if w in psi:
+            raise InvariantViolated("stub vertex colored twice")
+        psi[w] = inverse[col]

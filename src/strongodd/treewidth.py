@@ -18,6 +18,7 @@ independent subinstances synchronize.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .bounds import tw_bound, tw_clique_bound
@@ -28,10 +29,10 @@ from .ktree import (
     Completion,
     KTreeSeq,
     Layering,
+    bfs_layering,
     build_ktree,
-    _bfs_layering,
+    layer_completion,
     _component_parents,
-    _layer_completion,
 )
 
 
@@ -53,8 +54,9 @@ class TypeMatrix:
     __slots__ = ("entries", "_key", "_hash")
 
     def __init__(self, cells: Iterable[tuple[tuple, object]]):
-        entries = tuple(sorted(set(cells), key=canonical_key))
-        key = tuple(canonical_key(e) for e in entries)
+        keyed = sorted(((canonical_key(e), e) for e in set(cells)), key=itemgetter(0))
+        entries = tuple(e for _, e in keyed)
+        key = tuple(k for k, _ in keyed)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -247,16 +249,18 @@ def _tw_color(
 ) -> dict[int, object]:
     """Raw recursive coloring of the k-tree ``g`` built from ``seq``; returns
     structured color values per vertex.  Each subinstance is a layer
-    completion, whose graph is built once and passed down with it."""
+    completion, whose graph is built once (for its slice-edge check) and
+    passed down with it; the layering and the completions are read off
+    ``seq`` without building ``g`` again."""
     k = seq.k
     if k == 0:
         return _base_sets_coloring(g.n, sets)
 
-    layering = _bfs_layering(seq, g)
+    layering = bfs_layering(seq)
     chis = [_greedy_layer_coloring(g, layer, k) for layer in layering.layers]
 
     def completion(d: int, vs):
-        comp = _layer_completion(seq, g, vs)
+        comp = layer_completion(seq, vs)
         return comp, comp.seq.n, comp.to_local
 
     def color(comp: Completion, sub_digraphs, sub_sets):

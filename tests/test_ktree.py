@@ -38,6 +38,15 @@ class TestBuild:
         with pytest.raises(InvalidStep):
             build_ktree(KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 1]), (4, [2, 3])]))
 
+    def test_sequence_rejects_nonclique_parents_on_construction(self):
+        # 2 and 3 both hang below {0, 1}, so {2, 3} is no edge of the prefix.
+        with pytest.raises(InvalidStep, match=r"step 4: parents \[2, 3\] are not a clique"):
+            KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 1]), (4, [2, 3])])
+        # {0, 2, 3} is a triangle only if 3 attached to {0, 2}.
+        KTreeSeq.make(3, [(3, [0, 1, 2]), (4, [0, 2, 3]), (5, [0, 3, 4])])
+        with pytest.raises(InvalidStep):
+            KTreeSeq.make(3, [(3, [0, 1, 2]), (4, [1, 2, 3]), (5, [0, 3, 4])])
+
     def test_id_discipline(self):
         with pytest.raises(InvalidStep):
             KTreeSeq.make(1, [(2, [0])])
@@ -67,6 +76,16 @@ class TestBfsLayering:
         # Vertex 4 attaches to {2,3}, both at distance 2 from the virtual
         # root, so it lands one layer further down.
         assert [sorted(l) for l in bfs_layering(fan5()).layers] == [[0, 1], [2, 3], [4]]
+
+    def test_layers_are_graph_distances(self):
+        # The layering is read off the sequence; it must agree with a BFS
+        # on the built graph.
+        for trial in range(300):
+            rng = random.Random(trial)
+            k = 1 + trial % 4
+            seq, _ = gen_random_partial_ktree(k, rng.randrange(0, 80), 1.0, seed=trial)
+            dist = build_ktree(seq).bfs_distances(seq.initial)
+            assert bfs_layering(seq).layer_of() == dict(enumerate(dist))
 
     def test_requires_positive_k(self):
         with pytest.raises(InvalidStep):
