@@ -73,6 +73,14 @@ def _read_payload(args) -> dict:
     return {"graph": graphio.graph_to_json(g)}
 
 
+def _field(payload: dict, key: str):
+    """A required payload field; its absence is the caller's error."""
+    try:
+        return payload[key]
+    except KeyError:
+        raise InputError(f"missing field {key!r}") from None
+
+
 def _graph_from_payload(payload: dict) -> Graph:
     obj = payload.get("graph", payload)
     return graphio.graph_from_json(obj)
@@ -137,12 +145,14 @@ def cmd_solve(args) -> int:
         value, witness = solver(g, budget, stats=stats)
     except BudgetExceeded as exc:
         _emit({"status": "budget", "lower_bound": exc.lower_bound,
-               "upper_bound": exc.upper_bound, "nodes": exc.nodes})
+               "upper_bound": exc.upper_bound, "nodes": exc.nodes,
+               "nodes_by_t": stats.nodes_by_t})
         return 1
     _emit({
         "value": value,
         "witness": graphio.coloring_to_json(witness),
         "nodes": stats.nodes,
+        "nodes_by_t": stats.nodes_by_t,
         "time": round(time.monotonic() - start, 6),
     })
     return 0
@@ -189,33 +199,32 @@ def cmd_color(args) -> int:
         arcs = graphio.digraph_from_json(payload["arcs"])
     sets = [frozenset(m) for m in payload.get("sets", [])]
     if args.algo == "outerplanar":
-        seq = graphio.ktree_from_json(payload["ktree"])
+        seq = graphio.ktree_from_json(_field(payload, "ktree"))
         mask = _graph_from_payload(payload)
         coloring = color_outerplanar(seq, mask)
         out_graph = graphio.graph_to_json(mask)
     elif args.algo == "tw":
-        seq = graphio.ktree_from_json(payload["ktree"])
+        seq = graphio.ktree_from_json(_field(payload, "ktree"))
         digraphs = [graphio.digraph_from_json(d) for d in payload.get("digraphs", [])]
         coloring = color_tw(seq, digraphs, sets)
         out_graph = graphio.graph_to_json(build_ktree(seq))
     elif args.algo == "rtw":
-        seq = graphio.ktree_from_json(payload["ktree"])
-        coloring = color_rtw(seq, int(payload["path_len"]), arcs, sets)
+        seq = graphio.ktree_from_json(_field(payload, "ktree"))
+        path_len = int(_field(payload, "path_len"))
+        coloring = color_rtw(seq, path_len, arcs, sets)
         from .graphs import strong_product
 
-        out_graph = graphio.graph_to_json(
-            strong_product(build_ktree(seq), int(payload["path_len"])))
+        out_graph = graphio.graph_to_json(strong_product(build_ktree(seq), path_len))
     elif args.algo == "summand":
-        seq = graphio.ktree_from_json(payload["ktree"])
-        coloring = color_summand(seq, int(payload["path_len"]), int(payload["t"]),
-                                 arcs, sets)
+        seq = graphio.ktree_from_json(_field(payload, "ktree"))
+        path_len, t = int(_field(payload, "path_len")), int(_field(payload, "t"))
+        coloring = color_summand(seq, path_len, t, arcs, sets)
         from .graphs import join_with_clique, strong_product
 
         out_graph = graphio.graph_to_json(join_with_clique(
-            strong_product(build_ktree(seq), int(payload["path_len"])),
-            int(payload["t"])))
+            strong_product(build_ktree(seq), path_len), t))
     elif args.algo == "sum":
-        desc = graphio.sumdesc_from_json(payload["sum"])
+        desc = graphio.sumdesc_from_json(_field(payload, "sum"))
         coloring = color_sum(desc, arcs, sets)
         out_graph = graphio.graph_to_json(build_sum(desc).graph)
     else:  # pragma: no cover
@@ -320,7 +329,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except (InputError, graphio.FormatError, GraphError, InvalidStep,
             InvalidAttachment, NotOuterplanarWitness, PartialColoring,
-            KeyError, ValueError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolated as exc:

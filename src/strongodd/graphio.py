@@ -87,7 +87,11 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def plane_from_json(obj: dict) -> PlaneGraph:
-    return PlaneGraph(graph_from_json(obj), [list(f) for f in obj["faces"]])
+    try:
+        faces = [list(f) for f in obj["faces"]]
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"bad plane graph object: {exc}") from exc
+    return PlaneGraph(graph_from_json(obj), faces)
 
 
 def plane_to_json(p: PlaneGraph) -> dict:

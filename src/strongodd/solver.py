@@ -2,18 +2,25 @@
 
 One backtracking engine serves every notion.  Constraints are "scopes":
 vertex sets whose color multiset must satisfy the multiplicity rule (or, for
-ordinary odd colorings, contain some odd multiplicity).  Because parity
-constraints are not monotone under extension, a scope is only checked once
-its last vertex in the branching order has been assigned.
+ordinary odd colorings, contain some odd multiplicity).  Each scope keeps its
+color counts up to date as vertices are colored, and the search forward
+checks it (Haralick & Elliott 1980): a branch is cut as soon as the members
+a scope has left to color cannot repair it.  For a rule scope the repair
+cost is its deficit, the sum over present colors of the fewest extra
+members that bring the color's count to an allowed residue; one member
+lowers the deficit by at most one.  An odd scope is dead once it is fully
+colored with no odd count.  Cutting only dead subtrees leaves the branching
+order, and so the first witness found, unchanged.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
-from .graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE, check_constraints
+from .graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE, check_constraints, square
+from .verify import is_odd_coloring, is_proper, is_strong_odd
 
 
 @dataclass(frozen=True)
@@ -62,21 +69,46 @@ class TooLarge(Exception):
 
 @dataclass
 class SolveStats:
-    nodes: int = 0
+    nodes: int = 0  # over all color counts tried
     seconds: float = 0.0
+    nodes_by_t: dict[int, int] = field(default_factory=dict)
 
 
 class _Stop(Exception):
     pass
 
 
+def _deficit_steps(rule: MultiplicityRule, size: int) -> list[int]:
+    """``step[k]``: the change in a scope's deficit when one color's count
+    there goes from k to k + 1, for k < size.  A count's need is the fewest
+    extra members that make it allowed; an absent color needs none."""
+    m = rule.modulus
+    need_by_residue = [next(j for j in range(m) if (r + j) % m in rule.residues)
+                       for r in range(m)]
+    need = [0] + [need_by_residue[k % m] for k in range(1, size + 1)]
+    return [need[k + 1] - need[k] for k in range(size)]
+
+
+def _membership(scopes: list[frozenset[int]], pos: dict[int, int], n: int):
+    """Per vertex, ``(scope id, members of the scope ordered after it)``."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, scope in enumerate(scopes):
+        members = sorted(scope, key=pos.__getitem__)
+        for i, v in enumerate(members):
+            out[v].append((s, len(members) - 1 - i))
+    return out
+
+
 class _Engine:
-    """Feasibility search for one fixed color count."""
+    """Feasibility search over fixed scopes, one color count per ``run``.
+
+    The branching order and the scope membership are set up once; ``nodes``
+    counts ``_extend`` entries over every run, against one ``node_limit``.
+    """
 
     def __init__(
         self,
         g: Graph,
-        t: int,
         rule: MultiplicityRule,
         proper: bool,
         rule_scopes: Sequence[frozenset[int]],
@@ -85,47 +117,73 @@ class _Engine:
         node_limit: int = 10**18,
         deadline: float = float("inf"),
     ):
-        self.g = g
-        self.t = t
-        self.rule = rule
+        self.n = g.n
         self.proper = proper
         self.symmetry = symmetry
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
         self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        self.pos = {v: i for i, v in enumerate(self.order)}
+        pos = {v: i for i, v in enumerate(self.order)}
         self.adj = [sorted(g.neighbors(v)) for v in range(g.n)]
-        # scope -> checked when its last-ordered member is assigned
-        self.by_last: list[list[tuple[frozenset[int], bool]]] = [[] for _ in range(g.n)]
-        for scope in rule_scopes:
-            if scope:
-                self.by_last[max(self.pos[v] for v in scope)].append((scope, False))
-        for scope in odd_scopes:
-            if scope:
-                self.by_last[max(self.pos[v] for v in scope)].append((scope, True))
+        rules = list(dict.fromkeys(s for s in rule_scopes if s))
+        odds = list(dict.fromkeys(s for s in odd_scopes if s))
+        self.n_rule, self.n_odd = len(rules), len(odds)
+        self.step = _deficit_steps(rule, max(map(len, rules), default=0))
+        self.rule_of = _membership(rules, pos, g.n)
+        self.odd_of = _membership(odds, pos, g.n)
 
-    def _scope_ok(self, scope: frozenset[int], exists_odd: bool, color: list[int]) -> bool:
-        counts: dict[int, int] = {}
-        for v in scope:
-            c = color[v]
-            counts[c] = counts.get(c, 0) + 1
-        if exists_odd:
-            return any(cnt % 2 == 1 for cnt in counts.values())
-        return all(self.rule.allows(cnt) for cnt in counts.values())
-
-    def run(self) -> Optional[dict[int, int]]:
-        n = self.g.n
-        if n == 0:
-            return {}
-        color = [-1] * n
-        result = self._extend(0, 0, color)
-        if result is None:
+    def run(self, t: int) -> Optional[dict[int, int]]:
+        n = self.n
+        self.t = t
+        self.color = [-1] * n
+        # counts[c][s]: members of rule scope s colored c; deficit[s]: its
+        # repair cost (module docstring); odd[s]: colors with an odd count
+        # in odd scope s
+        self.counts = [[0] * self.n_rule for _ in range(t)]
+        self.deficit = [0] * self.n_rule
+        self.odd_counts = [[0] * self.n_odd for _ in range(t)]
+        self.odd = [0] * self.n_odd
+        if not self._extend(0, 0):
             return None
-        return {v: color[v] for v in range(n)}
+        return {v: self.color[v] for v in range(n)}
 
-    def _extend(self, idx: int, used: int, color: list[int]) -> Optional[bool]:
-        if idx == self.g.n:
+    def _assign(self, v: int, c: int) -> bool:
+        """Color v with c; False if some scope of v can no longer be met."""
+        self.color[v] = c
+        ok = True
+        counts, deficit, step = self.counts[c], self.deficit, self.step
+        for s, left in self.rule_of[v]:
+            k = counts[s]
+            counts[s] = k + 1
+            d = deficit[s] + step[k]
+            deficit[s] = d
+            if d > left:
+                ok = False
+        counts, odd = self.odd_counts[c], self.odd
+        for s, left in self.odd_of[v]:
+            k = counts[s]
+            counts[s] = k + 1
+            odd[s] += -1 if k & 1 else 1
+            if not left and not odd[s]:
+                ok = False
+        return ok
+
+    def _unassign(self, v: int, c: int) -> None:
+        self.color[v] = -1
+        counts, deficit, step = self.counts[c], self.deficit, self.step
+        for s, _ in self.rule_of[v]:
+            k = counts[s] - 1
+            counts[s] = k
+            deficit[s] -= step[k]
+        counts, odd = self.odd_counts[c], self.odd
+        for s, _ in self.odd_of[v]:
+            k = counts[s] - 1
+            counts[s] = k
+            odd[s] -= -1 if k & 1 else 1
+
+    def _extend(self, idx: int, used: int) -> bool:
+        if idx == self.n:
             return True
         v = self.order[idx]
         self.nodes += 1
@@ -133,32 +191,45 @@ class _Engine:
             raise _Stop
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Stop
-        if self.symmetry:
-            limit = min(used + 1, self.t)
-        else:
-            limit = self.t
-        forbidden = set()
-        if self.proper:
-            for u in self.adj[v]:
-                if color[u] >= 0:
-                    forbidden.add(color[u])
+        limit = min(used + 1, self.t) if self.symmetry else self.t
+        forbidden = {self.color[u] for u in self.adj[v]} if self.proper else ()
         for c in range(limit):
             if c in forbidden:
                 continue
-            color[v] = c
-            ok = True
-            for scope, exists_odd in self.by_last[idx]:
-                if not self._scope_ok(scope, exists_odd, color):
-                    ok = False
-                    break
-            if ok and self._extend(idx + 1, max(used, c + 1), color):
+            if self._assign(v, c) and self._extend(idx + 1, max(used, c + 1)):
                 return True
-        color[v] = -1
-        return None
+            self._unassign(v, c)
+        return False
 
 
 def _strong_odd_scopes(g: Graph) -> list[frozenset[int]]:
     return [g.neighbors(v) for v in range(g.n)]
+
+
+def _odd_scopes(g: Graph) -> list[frozenset[int]]:
+    return [g.neighbors(v) for v in range(g.n) if g.neighbors(v)]
+
+
+def _greedy(g: Graph) -> Coloring:
+    """Proper coloring: each vertex in turn takes the least color its
+    earlier neighbors leave free."""
+    color: dict[int, int] = {}
+    for v in range(g.n):
+        taken = {color[u] for u in g.neighbors(v) if u < v}
+        color[v] = next(c for c in range(len(taken) + 1) if c not in taken)
+    return Coloring(color)
+
+
+def _if_valid(c: Coloring, verifier: Callable) -> Optional[Coloring]:
+    return c if verifier(c).ok else None
+
+
+def _square_coloring(g: Graph, rule: MultiplicityRule) -> Optional[Coloring]:
+    """A greedy coloring of the square of g.  Every neighborhood sees each
+    of its colors once, so it is strong odd whenever the rule allows one."""
+    if not rule.allows(1):
+        return None
+    return _if_valid(_greedy(square(g)), lambda c: is_strong_odd(g, c, rule))
 
 
 def _solve_min(
@@ -166,39 +237,41 @@ def _solve_min(
     budget: Optional[SolverBudget],
     rule: MultiplicityRule,
     proper: bool,
-    rule_scopes_fn,
-    odd_scopes_fn=None,
-    extra_rule_scopes: Sequence[frozenset[int]] = (),
+    rule_scopes: Sequence[frozenset[int]] = (),
+    odd_scopes: Sequence[frozenset[int]] = (),
     symmetry: bool = True,
     stats: Optional[SolveStats] = None,
+    fallback: Callable[[], Optional[Coloring]] = lambda: None,
 ) -> tuple[int, Coloring]:
+    """Least t with a coloring.  ``fallback`` gives a verified coloring, or
+    None, for ``BudgetExceeded`` to carry as its upper bound and witness."""
     budget = budget or SolverBudget()
     max_colors = budget.max_colors if budget.max_colors is not None else max(g.n, 1)
     start = time.monotonic()
-    deadline = start + budget.time_limit
-    total_nodes = 0
     if g.n == 0:
         return 0, Coloring({})
+    engine = _Engine(g, rule, proper, rule_scopes, odd_scopes, symmetry=symmetry,
+                     node_limit=budget.node_limit, deadline=start + budget.time_limit)
+
+    def exceeded(lower_bound: int) -> BudgetExceeded:
+        witness = fallback()
+        upper = witness.num_colors() if witness is not None else None
+        return BudgetExceeded(lower_bound, upper, witness, engine.nodes)
+
     for t in range(1, max_colors + 1):
-        engine = _Engine(
-            g, t, rule, proper,
-            list(rule_scopes_fn(g)) + list(extra_rule_scopes),
-            odd_scopes_fn(g) if odd_scopes_fn else (),
-            symmetry=symmetry,
-            node_limit=budget.node_limit - total_nodes,
-            deadline=deadline,
-        )
+        before = engine.nodes
         try:
-            assignment = engine.run()
+            assignment = engine.run(t)
         except _Stop:
-            raise BudgetExceeded(t, None, None, total_nodes + engine.nodes)
-        total_nodes += engine.nodes
-        if stats is not None:
-            stats.nodes = total_nodes
-            stats.seconds = time.monotonic() - start
+            raise exceeded(t) from None
+        finally:
+            if stats is not None:
+                stats.nodes_by_t[t] = engine.nodes - before
+                stats.nodes = engine.nodes
+                stats.seconds = time.monotonic() - start
         if assignment is not None:
             return t, Coloring(assignment)
-    raise BudgetExceeded(max_colors + 1, None, None, total_nodes)
+    raise exceeded(max_colors + 1)
 
 
 def chi_so_exact(
@@ -209,8 +282,9 @@ def chi_so_exact(
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Minimum colors in a strong odd coloring (proper + neighborhood rule)."""
-    return _solve_min(g, budget, rule, True, _strong_odd_scopes,
-                      symmetry=symmetry, stats=stats)
+    return _solve_min(g, budget, rule, True, _strong_odd_scopes(g),
+                      symmetry=symmetry, stats=stats,
+                      fallback=lambda: _square_coloring(g, rule))
 
 
 def chi_iso_exact(
@@ -221,8 +295,9 @@ def chi_iso_exact(
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Improper variant: the neighborhood rule without properness."""
-    return _solve_min(g, budget, rule, False, _strong_odd_scopes,
-                      symmetry=symmetry, stats=stats)
+    return _solve_min(g, budget, rule, False, _strong_odd_scopes(g),
+                      symmetry=symmetry, stats=stats,
+                      fallback=lambda: _square_coloring(g, rule))
 
 
 def chi_odd_exact(
@@ -233,11 +308,10 @@ def chi_odd_exact(
 ) -> tuple[int, Coloring]:
     """Minimum colors in an odd coloring: proper, and every non-isolated
     vertex sees some color an odd number of times."""
-    def odd_scopes(graph: Graph):
-        return [graph.neighbors(v) for v in range(graph.n) if graph.neighbors(v)]
-
-    return _solve_min(g, budget, ODD_RULE, True, lambda graph: [],
-                      odd_scopes_fn=odd_scopes, symmetry=symmetry, stats=stats)
+    return _solve_min(g, budget, ODD_RULE, True, odd_scopes=_odd_scopes(g),
+                      symmetry=symmetry, stats=stats,
+                      fallback=lambda: _if_valid(_greedy(square(g)),
+                                                 lambda c: is_odd_coloring(g, c)))
 
 
 def chi_exact(
@@ -247,8 +321,8 @@ def chi_exact(
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Ordinary chromatic number."""
-    return _solve_min(g, budget, ODD_RULE, True, lambda graph: [],
-                      symmetry=symmetry, stats=stats)
+    return _solve_min(g, budget, ODD_RULE, True, symmetry=symmetry, stats=stats,
+                      fallback=lambda: _if_valid(_greedy(g), lambda c: is_proper(g, c)))
 
 
 def chi_so_constrained(
@@ -262,13 +336,12 @@ def chi_so_constrained(
     """Minimum colors proper on g, strong odd on every digraph constraint's
     out-neighborhoods, and strong odd on every tracked set."""
     check_constraints(g, constraints.digraphs, constraints.sets)
-    extra: list[frozenset[int]] = []
+    scopes: list[frozenset[int]] = []
     for d in constraints.digraphs:
-        extra.extend(d.out_neighbors(v) for v in range(d.n))
-    extra.extend(frozenset(m) for m in constraints.sets)
+        scopes.extend(d.out_neighbors(v) for v in range(d.n))
+    scopes.extend(frozenset(m) for m in constraints.sets)
     # Arc properness is implied by properness on g since arcs are g-edges.
-    return _solve_min(g, budget, rule, True, lambda graph: [],
-                      extra_rule_scopes=extra, symmetry=symmetry, stats=stats)
+    return _solve_min(g, budget, rule, True, scopes, symmetry=symmetry, stats=stats)
 
 
 def feasible(
@@ -282,18 +355,15 @@ def feasible(
     """Witness for a t-coloring of the requested notion, or None."""
     budget = budget or SolverBudget()
     if notion == "strong_odd":
-        rule_scopes = _strong_odd_scopes(g)
-        odd_scopes: list[frozenset[int]] = []
+        scopes = (_strong_odd_scopes(g), ())
     elif notion == "odd":
-        rule_scopes = []
-        odd_scopes = [g.neighbors(v) for v in range(g.n) if g.neighbors(v)]
+        scopes = ((), _odd_scopes(g))
     else:
         raise ValueError(f"unknown notion {notion!r}")
-    engine = _Engine(g, t, rule, proper, rule_scopes, odd_scopes,
-                     node_limit=budget.node_limit,
+    engine = _Engine(g, rule, proper, *scopes, node_limit=budget.node_limit,
                      deadline=time.monotonic() + budget.time_limit)
     try:
-        assignment = engine.run()
+        assignment = engine.run(t)
     except _Stop:
         raise BudgetExceeded(1, None, None, engine.nodes)
     return Coloring(assignment) if assignment is not None else None

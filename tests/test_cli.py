@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from strongodd import treewidth
+from strongodd import cli, treewidth
 from strongodd.bounds import Bound
 from strongodd.cli import run
 
@@ -32,6 +32,16 @@ class TestGenSolve:
         payload = json.loads(out)
         assert payload["value"] == 5
         assert payload["nodes"] > 0
+        assert sorted(payload["nodes_by_t"], key=int) == ["1", "2", "3", "4", "5"]
+        assert sum(payload["nodes_by_t"].values()) == payload["nodes"]
+
+    def test_budget_reports_upper_bound(self):
+        k6 = json.dumps({"graph": {"n": 6, "edges": [[u, v] for u in range(6)
+                                                     for v in range(u + 1, 6)]}})
+        code, out = invoke(["solve", "--node-limit", "3"], k6)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "budget" and payload["upper_bound"] == 6
 
     def test_solve_iso(self):
         graph = json.dumps({"graph": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}})
@@ -113,6 +123,26 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_missing_field_is_malformed_input(self):
+        code, out = invoke(["gen", "--gadget", "ktree",
+                            "--params", "k=2,steps=10", "--seed", "1"])
+        code, _ = invoke(["color", "--algo", "rtw"], out)  # no path_len
+        assert code == 2
+        no_faces = {"graph": {"n": 1, "edges": []}, "colors": {"0": 0}}
+        code, _ = invoke(["verify", "--notion", "facial"], json.dumps(no_faces))
+        assert code == 2
+
+    def test_library_key_error_is_not_malformed_input(self, monkeypatch):
+        code, out = invoke(["gen", "--gadget", "ktree",
+                            "--params", "k=2,steps=10", "--seed", "1"])
+
+        def broken(*args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "color_tw", broken)
+        with pytest.raises(KeyError):
+            invoke(["color", "--algo", "tw"], out)
 
 
 class TestLayering:

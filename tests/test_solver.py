@@ -1,16 +1,19 @@
 """Exact solvers, enumeration oracle, and their agreement."""
 
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from strongodd.gadgets import gen_gk
-from strongodd.graphs import Coloring, DiGraph, Graph, MultiplicityRule
+from strongodd.graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE
 from strongodd.solver import (
     BudgetExceeded,
     ConstraintSet,
     SolverBudget,
+    SolveStats,
     TooLarge,
     chi_exact,
     chi_iso_exact,
@@ -31,6 +34,26 @@ from strongodd.verify import (
 
 def random_graph(n, p, rng):
     return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+RULES = (
+    MultiplicityRule(3, frozenset({1})),
+    MultiplicityRule(3, frozenset({1, 2})),
+    MultiplicityRule(4, frozenset({1, 3})),
+)
+
+
+def colorings_up_to_renaming(n, t):
+    """Every coloring of range(n) with at most t colors, one per renaming
+    class (restricted growth strings), as Colorings."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield Coloring(dict(enumerate(prefix)))
+            return
+        for c in range(min(used + 1, t)):
+            yield from grow(prefix + [c], max(used, c + 1))
+
+    return grow([], 0)
 
 
 class TestChiSo:
@@ -61,6 +84,45 @@ class TestChiSo:
         with pytest.raises(BudgetExceeded) as info:
             chi_so_exact(g, SolverBudget(node_limit=3))
         assert info.value.lower_bound >= 1
+        assert info.value.upper_bound == 6
+        assert is_strong_odd(g, info.value.witness).ok
+        assert info.value.witness.num_colors() == 6
+
+    def test_budget_exceeded_bounds_per_notion(self):
+        g = gen_gk(2)
+        budget = SolverBudget(node_limit=3)
+        for solve, verifier in ((chi_exact, is_proper), (chi_odd_exact, is_odd_coloring),
+                                (chi_iso_exact, is_strong_odd)):
+            with pytest.raises(BudgetExceeded) as info:
+                solve(g, budget)
+            witness = info.value.witness
+            assert verifier(g, witness).ok
+            assert info.value.upper_bound == witness.num_colors()
+            assert info.value.lower_bound <= info.value.upper_bound
+        # No bound when a count of one is not allowed, nor for constrained solves.
+        even_rule = MultiplicityRule(2, frozenset({0}))
+        for solve in (lambda: chi_so_exact(g, budget, rule=even_rule),
+                      lambda: chi_so_constrained(g, ConstraintSet(), budget)):
+            with pytest.raises(BudgetExceeded) as info:
+                solve()
+            assert info.value.upper_bound is None and info.value.witness is None
+
+    def test_capped_colors_keep_upper_bound_above(self):
+        g = gen_gk(2)  # value 5
+        with pytest.raises(BudgetExceeded) as info:
+            chi_so_exact(g, SolverBudget(max_colors=4))
+        assert info.value.lower_bound == 5
+        assert info.value.upper_bound >= 5
+
+    def test_nodes_by_t_sums_to_nodes(self):
+        stats = SolveStats()
+        value, _ = chi_so_exact(gen_gk(2), stats=stats)
+        assert sorted(stats.nodes_by_t) == list(range(1, value + 1))
+        assert sum(stats.nodes_by_t.values()) == stats.nodes > 0
+        stats = SolveStats()
+        with pytest.raises(BudgetExceeded) as info:
+            chi_so_exact(gen_gk(2), SolverBudget(node_limit=20), stats=stats)
+        assert stats.nodes == info.value.nodes == sum(stats.nodes_by_t.values())
 
 
 class TestChiIso:
@@ -175,3 +237,66 @@ class TestOddSolver:
         g = gen_gk(2)
         witness = feasible(g, 4, notion="odd")
         assert witness is not None and is_odd_coloring(g, witness).ok
+
+
+class TestForwardCheck:
+    """The forward check may cut only branches that hold no solution."""
+
+    def test_rules_match_oracle(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            g = random_graph(rng.randrange(1, 8), rng.random(), rng)
+            for rule in (ODD_RULE,) + RULES:
+                for solve, proper in ((chi_so_exact, True), (chi_iso_exact, False)):
+                    value, witness = solve(g, rule=rule)
+                    report = is_strong_odd(g, witness, rule)
+                    assert not [v for v in report.violations if proper or v[0] != "edge"]
+                    assert enumerate_oracle(g, value, rule=rule, proper_required=proper)
+                    assert not enumerate_oracle(g, value - 1, rule=rule,
+                                                proper_required=proper)
+
+    def test_odd_feasibility_matches_brute_force(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            g = random_graph(rng.randrange(1, 8), rng.random(), rng)
+            value, _ = chi_odd_exact(g)
+            for t in range(1, value + 2):
+                witness = feasible(g, t, notion="odd")
+                exists = any(is_odd_coloring(g, c).ok
+                             for c in colorings_up_to_renaming(g.n, t))
+                assert (witness is not None) == exists == (t >= value)
+                if witness is not None:
+                    assert is_odd_coloring(g, witness).ok
+
+    def test_constrained_witnesses_verify_and_are_minimal(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            n = rng.randrange(1, 8)
+            g = random_graph(n, rng.random(), rng)
+            d = DiGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                            for u, v in g.edge_list() if rng.random() < 0.7])
+            sets = tuple(frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+                         for _ in range(rng.randrange(3)))
+            rule = rng.choice((ODD_RULE,) + RULES)
+            value, witness = chi_so_constrained(g, ConstraintSet((d,), sets), rule=rule)
+
+            def ok(c):
+                return (is_proper(g, c).ok and is_strong_odd_directed(d, c, rule).ok
+                        and all(is_strong_odd_on_set(c, m, rule) for m in sets))
+
+            assert ok(witness)
+            assert not any(ok(c) for c in colorings_up_to_renaming(n, value - 1))
+
+    def test_values_and_witnesses_pinned(self):
+        """(value, witness) pairs recorded before scopes were forward
+        checked: the search order is unchanged, so the first witness is too."""
+        cases = json.loads((Path(__file__).parent / "data" / "solver_witnesses.json").read_text())
+        assert len(cases) == 41
+        for case in cases:
+            g = Graph(case["n"], [tuple(e) for e in case["edges"]])
+            for label, solve in (("chi_so", chi_so_exact), ("chi_odd", chi_odd_exact),
+                                 ("chi", chi_exact)):
+                value, witness = solve(g)
+                got = [witness.assignment[v] for v in range(g.n)]
+                assert (value, got) == (case[label]["value"], case[label]["witness"]), \
+                    (case["name"], label)
