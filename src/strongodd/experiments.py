@@ -22,7 +22,7 @@ from .gadgets import (
 )
 from .graphs import Coloring, DiGraph, Graph
 from .ktree import KTreeSeq, build_ktree
-from .outerplanar import _check_extension, _extend_core, color_outerplanar
+from .outerplanar import _extend_core, color_outerplanar
 from .rowtw import color_rtw
 from .solver import (
     BudgetExceeded,

@@ -74,9 +74,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
@@ -190,9 +187,6 @@ class DiGraph:
         """Sub-digraph keeping only arcs with both endpoints in ``vertices``."""
         keep = set(vertices)
         return DiGraph(self.n, (a for a in self.arcs if a[0] in keep and a[1] in keep))
-
-    def relabel(self, mapping: Mapping[int, int], n: int) -> "DiGraph":
-        return DiGraph(n, ((mapping[u], mapping[v]) for u, v in self.arcs))
 
     def is_subgraph_of(self, g: Graph) -> bool:
         return all(g.has_edge(u, v) for u, v in self.arcs)
@@ -318,12 +312,6 @@ class Coloring:
 
     def of(self, v: int) -> int:
         return self.assignment[v]
-
-    def is_total(self, n: int) -> bool:
-        return all(v in self.assignment for v in range(n))
-
-    def used_colors(self) -> set[int]:
-        return set(self.assignment.values())
 
     def num_colors(self) -> int:
         return len(set(self.assignment.values()))

@@ -19,11 +19,11 @@ mask edges and are stripped from the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional
 
 from .graphs import Coloring, Graph, InvariantViolated
-from .ktree import KTreeSeq, build_ktree
+from .ktree import KTreeSeq, bfs_layering, build_ktree
 
 
 class NotOuterplanarWitness(ValueError):
@@ -93,228 +93,93 @@ def gadget_graph(g: ClaimGadget) -> Graph:
     return Graph(g.n, edges)
 
 
-from functools import lru_cache
+# Caller colors for the preliminary roles (6, 7, 8), tried in this order; the
+# first with role 6 != i and role 8 != j is taken.
+_ROLE_ORDERS = ((6, 7, 8), (6, 8, 7), (7, 6, 8), (8, 6, 7), (7, 8, 6), (8, 7, 6))
+_STUB_COLORS = (1, 2, 3, 4, 6, 7, 8)
 
 
 @lru_cache(maxsize=None)
-def _rename_high(i: int, j: int) -> dict[int, int]:
-    """Permutation of {6,7,8} (identity elsewhere) making i != 6 and j != 8."""
-    for perm in permutations((6, 7, 8)):
-        pi = {6: perm[0], 7: perm[1], 8: perm[2]}
-        if pi.get(i, i) != 6 and pi.get(j, j) != 8:
-            out = {c: c for c in range(1, 6)}
-            out.update(pi)
-            return out
-    raise InvariantViolated("no admissible renaming")  # pragma: no cover
+def _prelim_pattern(i: int, j: int, p: int, q: int):
+    """Preliminary stub colors in the caller's palette, plus the vmask
+    bitmask of each of the three color classes.
 
-
-@lru_cache(maxsize=None)
-def _prelim_pattern(p: int, q: int):
-    """Preliminary stub colors plus per-class bitmasks over the vmask bits."""
-    ucol = tuple((6, 7, 8)[r % 3] for r in range(p))
-    wcol = tuple((8, 7, 6)[r % 3] for r in range(q))
-    masks = {6: 0, 7: 0, 8: 0}
-    for r, col in enumerate(ucol):
-        masks[col] |= 1 << (4 + r)
-    for r, col in enumerate(wcol):
-        masks[col] |= 1 << (4 + p + r)
-    return ucol, wcol, masks[6], masks[7], masks[8]
-
-
-def _check_extension(
-    i: int, j: int, p: int, q: int, vmask: int,
-    ucol: Sequence[int], wcol: Sequence[int],
-) -> bool:
-    """All five postconditions on a candidate stub coloring."""
-    if ucol[0] == 2 or wcol[0] == 3:
-        return False
-    if i == ucol[0] or 1 == ucol[0] or (p > 1 and 1 == ucol[1]):
-        return False
-    if j == wcol[0] or 4 == wcol[0] or (q > 1 and 4 == wcol[1]):
-        return False
-    for col, r2, r3 in ((ucol, p, 0), (wcol, q, 0)):
-        for r in range(r2):
-            c = col[r]
-            if c == 5:
-                return False
-            if r + 1 < r2 and c == col[r + 1]:
-                return False
-            if r + 2 < r2 and c == col[r + 2]:
-                return False
-    counts = [0] * 9
-    if vmask & 1:
-        counts[2] += 1
-    if vmask >> 1 & 1:
-        counts[3] += 1
-    if vmask >> 2 & 1:
-        counts[1] += 1
-    if vmask >> 3 & 1:
-        counts[4] += 1
-    for r in range(p):
-        if vmask >> (4 + r) & 1:
-            counts[ucol[r]] += 1
-    for r in range(q):
-        if vmask >> (4 + p + r) & 1:
-            counts[wcol[r]] += 1
-    return all(cnt % 2 == 1 for cnt in counts if cnt)
-
-
-def _repair_candidates(i, j, p, q, vmask, ucol0, wcol0):
-    """Candidate repairs of the preliminary 6,7,8 pattern, paper-first.
-
-    Yields (ucol, wcol) lists.  Colors 6 and 8 retire into the {3,4} / {1,2}
-    palette wholesale or by one adjacent member; color 7 splits over the two
-    remaining low colors with anchored stubs.  The paper's fixed choice comes
-    first; remaining combinations cover the corner cases where precolored
-    neighbors flip a parity.
+    The u stub repeats roles 6,7,8 and the w stub 8,7,6, with the roles
+    assigned to colors 6,7,8 so that the first u stub vertex avoids i and the
+    first w stub vertex avoids j.
     """
-    def positions(color):
-        out = [r for r in range(p) if ucol0[r] == color]
-        out += [p + r for r in range(q) if wcol0[r] == color]
-        return out
-
-    def adjacent(r):
-        return bool(vmask >> (4 + r) & 1)
-
-    pos6, pos7, pos8 = positions(6), positions(7), positions(8)
-    adj6 = [r for r in pos6 if adjacent(r)]
-    adj7 = [r for r in pos7 if adjacent(r)]
-    adj8 = [r for r in pos8 if adjacent(r)]
-    fix6 = len(adj6) > 0 and len(adj6) % 2 == 0
-    fix7 = len(adj7) > 0 and len(adj7) % 2 == 0
-    fix8 = len(adj8) > 0 and len(adj8) % 2 == 0
-
-    default_a = 3 if i != 3 else 4
-    default_b = 1 if j != 1 else 2
-    a_orders = [(default_a, 7 - default_a), (7 - default_a, default_a)]
-    b_orders = [(default_b, 3 - default_b), (3 - default_b, default_b)]
-
-    for a, c in a_orders:
-        prec_a = (vmask >> 1 & 1) if a == 3 else (vmask >> 3 & 1)
-        if not fix6:
-            acts6 = [None]
-        elif prec_a:
-            acts6 = [("all", a)] + [("move", a, m) for m in adj6]
-        else:
-            acts6 = [("move", a, m) for m in adj6] + [("all", a)]
-        for b, d in b_orders:
-            prec_b = (vmask >> 2 & 1) if b == 1 else (vmask & 1)
-            if not fix8:
-                acts8 = [None]
-            elif prec_b:
-                acts8 = [("all", b)] + [("move", b, m) for m in adj8]
-            else:
-                acts8 = [("move", b, m) for m in adj8] + [("all", b)]
-            if not fix7:
-                splits = [None]
-            else:
-                anchor_u, anchor_w = 1, p + 1
-                free_adj = [r for r in adj7 if r not in (anchor_u, anchor_w)]
-                splits = []
-                for u4_side, w4_side in ((c, d), (c, c), (d, d), (d, c)):
-                    for extra in range(len(free_adj) + 1):
-                        splits.append((u4_side, w4_side, extra))
-            for act6 in acts6:
-                for act8 in acts8:
-                    for split in splits:
-                        u = list(ucol0)
-                        w = list(wcol0)
-
-                        def setcol(r, col):
-                            if r < p:
-                                u[r] = col
-                            else:
-                                w[r - p] = col
-
-                        if act6 is not None:
-                            if act6[0] == "all":
-                                for r in pos6:
-                                    setcol(r, act6[1])
-                            else:
-                                setcol(act6[2], act6[1])
-                        if act8 is not None:
-                            if act8[0] == "all":
-                                for r in pos8:
-                                    setcol(r, act8[1])
-                            else:
-                                setcol(act8[2], act8[1])
-                        if split is not None:
-                            u4_side, w4_side, extra = split
-                            anchor_u, anchor_w = 1, p + 1
-                            free_adj = [r for r in adj7
-                                        if r not in (anchor_u, anchor_w)]
-                            setcol(anchor_u, u4_side)
-                            setcol(anchor_w, w4_side)
-                            chosen = set(free_adj[:extra])
-                            for r in pos7:
-                                if r in (anchor_u, anchor_w):
-                                    continue
-                                if r in chosen:
-                                    setcol(r, c)
-                                elif r in free_adj:
-                                    setcol(r, d)
-                                else:
-                                    setcol(r, c if r < p else d)
-                        yield u, w
+    roles = next(r for r in _ROLE_ORDERS if r[0] != i and r[2] != j)
+    ucol = tuple(roles[r % 3] for r in range(p))
+    wcol = tuple(roles[2 - r % 3] for r in range(q))
+    masks = dict.fromkeys(roles, 0)
+    for r, col in enumerate(ucol + wcol):
+        masks[col] |= 1 << (4 + r)
+    return ucol, wcol, tuple(masks.values())
 
 
-def _dfs_extension(i, j, p, q, vmask):
-    """Exhaustive fallback: color the stubs directly under all constraints."""
-    pu = [i, 1]
-    pw = [j, 4]
+def _search_extension(i: int, j: int, p: int, q: int, vmask: int):
+    """Exhaustive DFS over the stub positions (u stub, then w stub), colors
+    tried in ``_STUB_COLORS`` order.  Returns the flat stub coloring, or None
+    when no extension exists.
 
-    def masked_positions():
-        out = []
-        if vmask & 1:
-            out.append((None, 2))
-        if vmask >> 1 & 1:
-            out.append((None, 3))
-        if vmask >> 2 & 1:
-            out.append((None, 1))
-        if vmask >> 3 & 1:
-            out.append((None, 4))
-        return out
-
-    base = masked_positions()
+    The center's masked neighborhood is tracked as two color sets, odd and
+    even (positive) counts.  A branch is cut when the even colors outnumber
+    the masked positions still to come, since each can fix at most one.  A
+    state (position, last two path colors, odd set, even set) determines its
+    subtree, so dead states are remembered for the rest of the call.  Stubs
+    have no length bound, so the DFS keeps its own stack, one frame per
+    colored position.
+    """
     total = p + q
-
-    def rec(idx, counts):
+    masked = [vmask >> (4 + r) & 1 for r in range(total)]
+    left = [0] * total  # masked positions after each position
+    for r in range(total - 1, 0, -1):
+        left[r - 1] = left[r] + masked[r]
+    precolored = 0  # x, y, u2, w2: distinct colors, each counted once
+    for bit, col in ((0, 2), (1, 3), (2, 1), (3, 4)):
+        if vmask >> bit & 1:
+            precolored |= 1 << col
+    dead: set[tuple[int, int, int, int, int]] = set()
+    out: list[int] = []
+    # Frame per open position: its state (last two path colors, odd set,
+    # even set) and the index of the next color to try there.
+    frames = [[i, 1, precolored, 0, 0]]
+    while frames:
+        idx = len(out)
         if idx == total:
-            return [] if all(cnt % 2 == 1 for cnt in counts if cnt) else None
-        on_u = idx < p
-        path = pu if on_u else pw
-        r = idx if on_u else idx - p
-        forbidden = {5, path[-1]}
-        if len(path) >= 2:
-            forbidden.add(path[-2])
-        if r == 0:
-            forbidden.add(2 if on_u else 3)
-        adjacent = bool(vmask >> (4 + idx) & 1)
-        for col in range(1, 9):
-            if col in forbidden:
+            return out  # the forward check left no even color
+        frame = frames[-1]
+        a, b, odd, even, k = frame
+        first = 3 if idx == p else 2 if idx == 0 else 0
+        while k < len(_STUB_COLORS):
+            c = _STUB_COLORS[k]
+            k += 1
+            if c == a or c == b or c == first:
                 continue
-            path.append(col)
-            if adjacent:
-                counts[col] += 1
-            rest = rec(idx + 1, counts)
-            if adjacent:
-                counts[col] -= 1
-            path.pop()
-            if rest is not None:
-                return [col] + rest
-        return None
-
-    counts = [0] * 9
-    for _, col in base:
-        counts[col] += 1
-    return rec(0, counts)
-
-
-@lru_cache(maxsize=None)
-def _prelim_renamed(p: int, q: int, inv_key: tuple):
-    ucol, wcol, _, _, _ = _prelim_pattern(p, q)
-    inv = dict(inv_key)
-    return (tuple(inv.get(c, c) for c in ucol), tuple(inv.get(c, c) for c in wcol))
+            o, e = odd, even
+            if masked[idx]:
+                bit = 1 << c
+                if o & bit:
+                    o ^= bit
+                    e |= bit
+                else:
+                    o |= bit
+                    e &= ~bit
+            if e.bit_count() > left[idx]:
+                continue
+            na, nb = (j, 4) if idx + 1 == p else (b, c)
+            if (idx + 1, na, nb, o, e) in dead:
+                continue
+            frame[4] = k
+            out.append(c)
+            frames.append([na, nb, o, e, 0])
+            break
+        else:
+            dead.add((idx, a, b, odd, even))
+            frames.pop()
+            if out:
+                out.pop()
+    return None
 
 
 def _extend_core(
@@ -323,34 +188,16 @@ def _extend_core(
     """Color the stubs.  ``vmask`` packs which center edges are masked in:
     bit 0 v-x, bit 1 v-y, bit 2 v-u2, bit 3 v-w2, bits 4.. the u stub, then
     the w stub.  Returns stub colors in canonical palette."""
-    pi = _rename_high(i, j)
-    inv_key = tuple(sorted((v, k) for k, v in pi.items() if k != v))
-    ri, rj = pi.get(i, i), pi.get(j, j)
-
-    ucol0, wcol0, m6, m7, m8 = _prelim_pattern(p, q)
-    n6 = (vmask & m6).bit_count()
-    n7 = (vmask & m7).bit_count()
-    n8 = (vmask & m8).bit_count()
-    if (n6 % 2 or not n6) and (n7 % 2 or not n7) and (n8 % 2 or not n8):
+    ucol, wcol, class_masks = _prelim_pattern(i, j, p, q)
+    if all((vmask & m).bit_count() % 2 or not (vmask & m) for m in class_masks):
         # The preliminary pattern is proper and distance-2-clean by shape;
         # the precolored neighbors contribute at most one each, so parity at
         # the center reduces to these three class counts.
-        return _prelim_renamed(p, q, inv_key)
-
-    ucol0, wcol0 = list(ucol0), list(wcol0)
-    for u, w in _repair_candidates(ri, rj, p, q, vmask, ucol0, wcol0):
-        if _check_extension(ri, rj, p, q, vmask, u, w):
-            break
-    else:
-        flat = _dfs_extension(ri, rj, p, q, vmask)
-        if flat is None:
-            raise InvariantViolated("gadget admits no valid extension")
-        u, w = flat[:p], flat[p:]
-    inv = dict(inv_key)
-    return (
-        tuple(inv.get(col, col) for col in u),
-        tuple(inv.get(col, col) for col in w),
-    )
+        return ucol, wcol
+    flat = _search_extension(i, j, p, q, vmask)
+    if flat is None:
+        raise InvariantViolated("gadget admits no valid extension")
+    return tuple(flat[:p]), tuple(flat[p:])
 
 
 def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Coloring:
@@ -434,8 +281,6 @@ def validate_outerplanar_structure(seq: KTreeSeq) -> Graph:
     2-tree host, built once for the check."""
     if seq.k != 2:
         raise NotOuterplanarWitness("witness must be a 2-tree sequence")
-    from .ktree import bfs_layering
-
     g = build_ktree(seq)
     layering = bfs_layering(seq)
     layers = layering.layers
@@ -701,13 +546,14 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
 
     # Plan instances layer by layer, top down, so padding at one layer is
     # visible to the spans of the layer below before its plan is drawn.
+    # Padding while planning layer idx adds vertices only at layers idx and
+    # idx + 1, so the membership of the layers below can be read up front.
     plans: dict[int, list[_Instance]] = {}
-    layer_count = len(host.layers())
-    for idx in range(layer_count - 1, 0, -1):
-        layer = set(host.layers()[idx]) if idx < len(host.layers()) else set()
+    layers = host.layers()
+    for idx in range(len(layers) - 1, 0, -1):
         plan = []
         shareds = []
-        for v in sorted(layer):
+        for v in layers[idx]:
             a, b = host.parents[v]
             if host.dist[a] == host.dist[b] == host.dist[v] - 1:
                 shareds.append((v, a, b))

@@ -38,6 +38,13 @@ def test_claim_exhaustive():
     assert result["status"] == "pass", result["details"]
 
 
+def test_claim_exhaustive_quick():
+    # Every gated instance with both stub lengths in 2..3, for the fast loop.
+    result = _run(experiments.crit_claim_exhaustive, quick=True)
+    assert result["status"] == "pass", result["details"]
+    assert result["details"]["instances"] == 57_600
+
+
 def test_tw_construction():
     result = _run(experiments.crit_tw)
     assert result["status"] == "pass", result["details"]

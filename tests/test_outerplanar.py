@@ -1,9 +1,11 @@
 """Outerplanar 8-coloring: the gadget extension and the full driver."""
 
 import random
+from itertools import product
 
 import pytest
 
+from strongodd.experiments import _claim_check_independent
 from strongodd.gadgets import gen_random_maximal_outerplanar
 from strongodd.graphs import Coloring, Graph
 from strongodd.ktree import KTreeSeq, build_ktree
@@ -14,6 +16,8 @@ from strongodd.outerplanar import (
     V,
     X,
     Y,
+    _extend_core,
+    _search_extension,
     claim_extend,
     color_outerplanar,
     gadget_graph,
@@ -73,6 +77,94 @@ class TestGadget:
         g = ClaimGadget(2, 2, 7, 6)
         with pytest.raises(PreconditionViolated):
             claim_extend(g, [(X, Y), (0, 99)])
+
+
+STUB_COLORS = (1, 2, 3, 4, 6, 7, 8)
+
+
+def _first_extension(i, j, p, q, vmask):
+    """Reference: the first valid stub coloring in color order, found by a
+    depth-first search that keeps counts and remembers no state."""
+    flat = []
+    masked = [vmask >> (4 + r) & 1 for r in range(p + q)]
+    counts = dict.fromkeys(STUB_COLORS, 0)
+    for bit, col in ((0, 2), (1, 3), (2, 1), (3, 4)):
+        counts[col] += vmask >> bit & 1
+
+    def rec(r):
+        if r == p + q:
+            return True
+        path = [i, 1] + flat if r < p else [j, 4] + flat[p:]
+        for c in STUB_COLORS:
+            if c in path[-2:] or c == (2 if r == 0 else 3 if r == p else 0):
+                continue
+            counts[c] += masked[r]
+            even = sum(1 for n in counts.values() if n and n % 2 == 0)
+            # Each masked position still to come flips one color's parity.
+            if even <= sum(masked[r + 1:]):
+                flat.append(c)
+                if rec(r + 1):
+                    return True
+                flat.pop()
+            counts[c] -= masked[r]
+        return False
+
+    return flat if rec(0) else None
+
+
+def _random_instance(rng, lengths):
+    p, q = rng.choice(lengths), rng.choice(lengths)
+    i = rng.choice([3, 4, 6, 7, 8])
+    j = rng.choice([1, 2, 6, 7, 8])
+    return i, j, p, q, rng.randrange(1 << (4 + p + q))
+
+
+class TestExtensionSearch:
+    def test_long_stub_instance_from_outerplanar_host(self):
+        # Stubs of 7 and 8 vertices, met on a maximal outerplanar host with
+        # 8,000 vertices; an unpruned search needs minutes here.
+        ucol, wcol = _extend_core(4, 1, 7, 8, 4861)
+        assert _claim_check_independent(4, 1, 7, 8, 4861, ucol, wcol)
+
+    def test_long_stubs_on_random_masks(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            i, j, p, q, vmask = _random_instance(rng, range(7, 15))
+            ucol, wcol = _extend_core(i, j, p, q, vmask)
+            assert (len(ucol), len(wcol)) == (p, q)
+            assert _claim_check_independent(i, j, p, q, vmask, ucol, wcol), \
+                (i, j, p, q, vmask)
+
+    def test_search_finds_first_coloring_in_color_order(self):
+        # Against every stub coloring in lexicographic order: the prune and
+        # the memo never cut a branch that holds an extension.
+        rng = random.Random(5)
+        for _ in range(60):
+            i, j, p, q, vmask = _random_instance(rng, (2, 3))
+            if p + q > 5:
+                continue
+            first = next(
+                list(flat) for flat in product(STUB_COLORS, repeat=p + q)
+                if _claim_check_independent(i, j, p, q, vmask, flat[:p], flat[p:])
+            )
+            assert _search_extension(i, j, p, q, vmask) == first
+        rng = random.Random(6)
+        for _ in range(200):
+            i, j, p, q, vmask = _random_instance(rng, range(4, 9))
+            assert _search_extension(i, j, p, q, vmask) == \
+                _first_extension(i, j, p, q, vmask), (i, j, p, q, vmask)
+
+    def test_fan_stub_longer_than_the_recursion_limit(self):
+        # A maximal outerplanar fan hangs its whole path as one stub of about
+        # n vertices, all adjacent to the gadget center.
+        n = 2000
+        seq = KTreeSeq.make(2, [(k, (0, k - 1)) for k in range(2, n)])
+        host = build_ktree(seq)
+        rng = random.Random(2000)
+        mask = Graph(host.n, [e for e in host.edge_list() if rng.random() < 0.5])
+        c = color_outerplanar(seq, mask)
+        assert is_proper(host, c).ok
+        assert is_strong_odd(mask, c).ok
 
 
 class TestStructureValidation:
