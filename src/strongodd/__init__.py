@@ -6,6 +6,7 @@ from .graphs import (
     DiGraph,
     Graph,
     Hypergraph,
+    InputError,
     InvariantViolated,
     MultiplicityRule,
     ODD_RULE,

@@ -2,8 +2,8 @@
 
 All subcommands read JSON on stdin (or --file) and write JSON on stdout, so
 pipelines compose without temp files.  Exit codes: 0 ok, 1 verification
-failure or infeasibility, 2 malformed input, 3 internal error (a broken
-guarantee of the library itself).
+failure or infeasibility, 2 malformed input (an ``InputError``), 3 internal
+error (a broken guarantee of the library itself).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .gadgets import (
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
 )
-from .graphs import DiGraph, Graph, GraphError, InvariantViolated, MultiplicityRule, ODD_RULE
-from .ktree import InvalidStep, bfs_layering, build_ktree, validate_bfs_properties
-from .outerplanar import NotOuterplanarWitness, color_outerplanar
+from .graphs import DiGraph, Graph, InputError, InvariantViolated, MultiplicityRule, ODD_RULE
+from .ktree import bfs_layering, build_ktree, validate_bfs_properties
+from .outerplanar import color_outerplanar
 from .rowtw import color_rtw
 from .solver import (
     BudgetExceeded,
@@ -35,10 +35,9 @@ from .solver import (
     SolveStats,
 )
 from .sumcolor import color_sum, color_summand
-from .sums import InvalidAttachment, build_sum, natural_layering, validate_natural_properties
+from .sums import build_sum, natural_layering, validate_natural_properties
 from .treewidth import color_tw
 from .verify import (
-    PartialColoring,
     is_facially_odd,
     is_hypergraph_strong_odd,
     is_odd_coloring,
@@ -48,16 +47,12 @@ from .verify import (
 )
 
 
-class InputError(ValueError):
-    pass
-
-
 def _read_payload(args) -> dict:
     path = getattr(args, "file", None) or getattr(args, "input", None)
-    if path:
-        text = Path(path).read_text()
-    else:
-        text = sys.stdin.read()
+    try:
+        text = Path(path).read_text() if path else sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read input: {exc}") from exc
     text = text.strip()
     if not text:
         raise InputError("no input")
@@ -86,6 +81,13 @@ def _graph_from_payload(payload: dict) -> Graph:
     return graphio.graph_from_json(obj)
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, not {value!r}") from None
+
+
 def _params(args) -> dict[str, int]:
     out = {}
     for item in args.params or []:
@@ -93,7 +95,8 @@ def _params(args) -> dict[str, int]:
             if not piece:
                 continue
             key, _, value = piece.partition("=")
-            out[key.strip()] = int(value)
+            key = key.strip()
+            out[key] = _int(value, f"parameter {key!r}")
     return out
 
 
@@ -164,7 +167,7 @@ def cmd_verify(args) -> int:
     rule = ODD_RULE
     if args.modulus != 2 or args.residues != "1":
         rule = MultiplicityRule(args.modulus,
-                                frozenset(int(r) for r in args.residues.split("+")))
+                                frozenset(_int(r, "residue") for r in args.residues.split("+")))
     if args.notion in ("so", "proper", "odd", "iso"):
         g = _graph_from_payload(payload)
         if args.notion == "so":
@@ -210,14 +213,15 @@ def cmd_color(args) -> int:
         out_graph = graphio.graph_to_json(build_ktree(seq))
     elif args.algo == "rtw":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        path_len = int(_field(payload, "path_len"))
+        path_len = _int(_field(payload, "path_len"), "path_len")
         coloring = color_rtw(seq, path_len, arcs, sets)
         from .graphs import strong_product
 
         out_graph = graphio.graph_to_json(strong_product(build_ktree(seq), path_len))
     elif args.algo == "summand":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        path_len, t = int(_field(payload, "path_len")), int(_field(payload, "t"))
+        path_len = _int(_field(payload, "path_len"), "path_len")
+        t = _int(_field(payload, "t"), "t")
         coloring = color_summand(seq, path_len, t, arcs, sets)
         from .graphs import join_with_clique, strong_product
 
@@ -327,9 +331,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, graphio.FormatError, GraphError, InvalidStep,
-            InvalidAttachment, NotOuterplanarWitness, PartialColoring,
-            ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolated as exc:

@@ -34,7 +34,7 @@ from .solver import (
     enumerate_oracle,
     feasible,
 )
-from .sumcolor import color_sum, color_summand, sum_clique_coloring, tag_cliques
+from .sumcolor import color_sum, color_summand, sum_clique_coloring
 from .sums import Sum, SumDesc, Summand, build_sum
 from .treewidth import clique_coloring, color_tw
 from .verify import (
@@ -412,8 +412,7 @@ def crit_clique_colorings(quick=False) -> dict:
         cliques = sorted(cliques, key=sorted)
         if not cliques:
             continue
-        tags = tag_cliques(s, cliques)
-        sigma = sum_clique_coloring(desc, cliques, tags)
+        sigma = sum_clique_coloring(desc, cliques)
         classes = Counter(sigma.values())
         ok = all(c % 2 == 1 for c in classes.values())
         for v in range(g.n):

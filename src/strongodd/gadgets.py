@@ -6,7 +6,7 @@ import random
 from itertools import combinations
 from typing import Optional
 
-from .graphs import Graph, PlaneGraph
+from .graphs import Graph, InputError, PlaneGraph
 from .ktree import KTreeSeq, build_ktree
 
 
@@ -20,7 +20,7 @@ def gen_gk(k: int, include_tree_edges: bool = False) -> Graph:
     ``include_tree_edges`` for comparison.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     n = (1 << (k + 1)) - 1
     first_leaf = (1 << k) - 1
     edges = []
@@ -48,7 +48,7 @@ def gen_iso_gadget(n: int) -> Graph:
     degree is odd.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InputError("n must be >= 2")
     pairs = list(combinations(range(n), 2))
     c2 = len(pairs)
     v2 = n              # pair vertices: v2 + i
@@ -70,7 +70,7 @@ def gen_random_partial_ktree(
     """Seeded k-tree with uniformly random parent cliques, plus an edge mask
     keeping each host edge independently with probability ``keep_prob``."""
     if not (0.0 <= keep_prob <= 1.0):
-        raise ValueError("keep_prob must lie in [0, 1]")
+        raise InputError("keep_prob must lie in [0, 1]")
     rng = random.Random(seed)
     cliques = [tuple(range(k))]
     steps = []
@@ -101,7 +101,7 @@ def gen_random_maximal_outerplanar(
     PlaneGraph (one triangle per step plus the outer cycle).
     """
     if n < 3:
-        raise ValueError("n must be >= 3")
+        raise InputError("n must be >= 3")
     rng = random.Random(seed)
     # Single-sided initial edge: the start edge stays on the outer boundary,
     # which keeps every previous-layer edge owning at most one layer path.

@@ -7,15 +7,28 @@ Edge-list text: first line ``n m`` (digraphs: ``n m directed``), then m lines
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from typing import Any
 
-from .graphs import Coloring, DiGraph, Graph, Hypergraph, PlaneGraph
+from .graphs import Coloring, DiGraph, Graph, Hypergraph, InputError, PlaneGraph
 from .ktree import KTreeSeq
 from .sums import SumDesc, Summand
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     pass
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a missing field, or a value of the wrong type or form, as a
+    FormatError about ``what``; input errors raised inside pass unchanged."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad {what}: {exc}") from exc
 
 
 def parse_edge_list(text: str) -> Graph | DiGraph:
@@ -28,10 +41,8 @@ def parse_edge_list(text: str) -> Graph | DiGraph:
         directed = True
     elif len(header) != 2:
         raise FormatError(f"bad header {lines[0]!r}")
-    try:
+    with _malformed(f"header {lines[0]!r}"):
         n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
     pairs = []
@@ -39,7 +50,8 @@ def parse_edge_list(text: str) -> Graph | DiGraph:
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"bad edge line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        with _malformed(f"edge line {ln!r}"):
+            pairs.append((int(parts[0]), int(parts[1])))
     return DiGraph(n, pairs) if directed else Graph(n, pairs)
 
 
@@ -58,10 +70,8 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    try:
+    with _malformed("graph object"):
         return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad graph object: {exc}") from exc
 
 
 def digraph_to_json(d: DiGraph) -> dict:
@@ -69,17 +79,13 @@ def digraph_to_json(d: DiGraph) -> dict:
 
 
 def digraph_from_json(obj: dict) -> DiGraph:
-    try:
+    with _malformed("digraph object"):
         return DiGraph(int(obj["n"]), [tuple(a) for a in obj["arcs"]])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad digraph object: {exc}") from exc
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
-    try:
+    with _malformed("hypergraph object"):
         return Hypergraph(int(obj["n"]), [list(h) for h in obj["hyperedges"]])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad hypergraph object: {exc}") from exc
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
@@ -87,10 +93,8 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 
 def plane_from_json(obj: dict) -> PlaneGraph:
-    try:
+    with _malformed("plane graph object"):
         faces = [list(f) for f in obj["faces"]]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad plane graph object: {exc}") from exc
     return PlaneGraph(graph_from_json(obj), faces)
 
 
@@ -109,14 +113,12 @@ def ktree_to_json(seq: KTreeSeq) -> dict:
 
 
 def ktree_from_json(obj: dict) -> KTreeSeq:
-    try:
+    with _malformed("ktree object"):
         return KTreeSeq(
             int(obj["k"]),
             tuple(obj["initial"]),
             tuple((int(s["v"]), frozenset(s["parents"])) for s in obj["steps"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad ktree object: {exc}") from exc
 
 
 def sumdesc_to_json(desc: SumDesc) -> dict:
@@ -136,7 +138,7 @@ def sumdesc_to_json(desc: SumDesc) -> dict:
 
 
 def sumdesc_from_json(obj: dict) -> SumDesc:
-    try:
+    with _malformed("sum description"):
         return SumDesc(
             int(obj["w"]),
             int(obj["k"]),
@@ -150,8 +152,6 @@ def sumdesc_from_json(obj: dict) -> SumDesc:
                 for a in obj.get("attachments", [])
             ),
         )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad sum description: {exc}") from exc
 
 
 def coloring_to_json(c: Coloring) -> dict:
@@ -162,10 +162,8 @@ def coloring_to_json(c: Coloring) -> dict:
 
 
 def coloring_from_json(obj: dict) -> Coloring:
-    try:
+    with _malformed("coloring object"):
         return Coloring({int(v): int(col) for v, col in obj["colors"].items()})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad coloring object: {exc}") from exc
 
 
 def dumps(obj: dict) -> str:

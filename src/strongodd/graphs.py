@@ -13,11 +13,19 @@ from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 
-class GraphError(ValueError):
+class InputError(ValueError):
+    """Malformed or invalid input: the caller's error, not the library's.
+
+    Every exception the library raises on bad input derives from it, so a
+    caller (the CLI among them) can tell bad input from a library bug.
+    """
+
+
+class GraphError(InputError):
     """Raised for structurally invalid graph data."""
 
 
-class InputNotSubgraph(ValueError):
+class InputNotSubgraph(InputError):
     """A digraph constraint or tracked set leaves the host graph."""
 
 
@@ -32,14 +40,9 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "_adj")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[tuple[int, int]] = (),
-        labels: Optional[Mapping[int, str]] = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
         norm = set()
@@ -51,7 +54,6 @@ class Graph:
             norm.add(_norm_edge(u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "labels", dict(labels) if labels else {})
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in norm:
             adj[u].add(v)
@@ -64,9 +66,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -84,23 +83,22 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def components(self) -> list[frozenset[int]]:
-        """Connected components, each sorted internally, ordered by minimum vertex."""
-        seen = [False] * self.n
+    def components(self, vertices: Optional[Iterable[int]] = None) -> list[frozenset[int]]:
+        """Connected components of the subgraph induced by ``vertices`` (by
+        default the whole graph), ordered by minimum vertex."""
+        todo = set(range(self.n) if vertices is None else vertices)
         comps = []
-        for s in range(self.n):
-            if seen[s]:
+        for s in sorted(todo):
+            if s not in todo:
                 continue
+            todo.discard(s)
             comp = {s}
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        queue.append(w)
+            stack = [s]
+            while stack:
+                found = self._adj[stack.pop()] & todo
+                todo -= found
+                comp |= found
+                stack.extend(found)
             comps.append(frozenset(comp))
         return comps
 
@@ -132,10 +130,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -280,7 +274,6 @@ class MultiplicityRule:
 
     modulus: int
     residues: frozenset[int]
-    zero_allowed: bool = True
 
     def __post_init__(self):
         if self.modulus <= 0:
@@ -292,7 +285,7 @@ class MultiplicityRule:
 
     def allows(self, count: int) -> bool:
         if count == 0:
-            return self.zero_allowed
+            return True
         return (count % self.modulus) in self.residues
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
-from .graphs import Graph
+from .graphs import Graph, InputError
 
 
-class InvalidStep(ValueError):
+class InvalidStep(InputError):
     """A declared parent clique is not a clique of the prefix graph."""
 
 
@@ -143,7 +143,7 @@ class Completion:
         return self.host
 
 
-class CompletionError(ValueError):
+class CompletionError(InputError):
     """The slice admits no (k-1)-tree completion along the inherited order."""
 
 
@@ -236,25 +236,34 @@ class PropertyReport:
 
 def _component_parents(g: Graph, layer: frozenset[int], prev: frozenset[int]):
     """Per-component sets of previous-layer vertices with a neighbor inside."""
-    sub_adj = {v: g.neighbors(v) & layer for v in layer}
-    seen = set()
     out = []
-    for s in sorted(layer):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in sub_adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
+    for comp in g.components(layer):
         parents = frozenset().union(*(g.neighbors(v) & prev for v in comp)) if prev else frozenset()
-        out.append((frozenset(comp), parents))
+        out.append((comp, parents))
     return out
+
+
+def _check_parent_cliques(g: Graph, layers, sizes: Collection[int]):
+    """B2 and N2: each component of a later layer sees a clique of the
+    layer below whose size lies in ``sizes``.  Returns (ok, witness)."""
+    for i in range(1, len(layers)):
+        for comp, parents in _component_parents(g, layers[i], layers[i - 1]):
+            if len(parents) not in sizes or not g.is_clique(parents):
+                return False, (i, sorted(comp), sorted(parents))
+    return True, None
+
+
+def _check_layer_edges(g: Graph, layering: Layering):
+    """B4 and N4: the layers partition the vertices and edges stay within
+    or between consecutive layers.  Returns (ok, witness)."""
+    layer_of = layering.layer_of()
+    missing = [v for v in range(g.n) if v not in layer_of]
+    if missing or sum(len(l) for l in layering.layers) != g.n:
+        return False, ("not a partition", missing)
+    for u, v in g.edge_list():
+        if abs(layer_of[u] - layer_of[v]) > 1:
+            return False, (u, v)
+    return True, None
 
 
 def validate_bfs_properties(seq: KTreeSeq, layering: Layering) -> PropertyReport:
@@ -276,15 +285,7 @@ def validate_bfs_properties(seq: KTreeSeq, layering: Layering) -> PropertyReport
         sorted(first),
     )
 
-    b2_ok, b2_witness = True, None
-    for i in range(1, len(layers)):
-        for comp, parents in _component_parents(g, layers[i], layers[i - 1]):
-            if len(parents) != seq.k or not g.is_clique(parents):
-                b2_ok, b2_witness = False, (i, sorted(comp), sorted(parents))
-                break
-        if not b2_ok:
-            break
-    report.record("B2", b2_ok, b2_witness)
+    report.record("B2", *_check_parent_cliques(g, layers, (seq.k,)))
 
     b3_ok, b3_witness = True, None
     for i, layer in enumerate(layers):
@@ -295,15 +296,5 @@ def validate_bfs_properties(seq: KTreeSeq, layering: Layering) -> PropertyReport
             break
     report.record("B3", b3_ok, b3_witness)
 
-    layer_of = layering.layer_of()
-    b4_ok, b4_witness = True, None
-    missing = [v for v in range(g.n) if v not in layer_of]
-    if missing or sum(len(l) for l in layers) != g.n:
-        b4_ok, b4_witness = False, ("not a partition", missing)
-    else:
-        for u, v in g.edge_list():
-            if abs(layer_of[u] - layer_of[v]) > 1:
-                b4_ok, b4_witness = False, (u, v)
-                break
-    report.record("B4", b4_ok, b4_witness)
+    report.record("B4", *_check_layer_edges(g, layering))
     return report

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Optional
 
-from .graphs import Coloring, Graph, InvariantViolated
+from .graphs import Coloring, Graph, InputError, InvariantViolated
 from .ktree import KTreeSeq, bfs_layering, build_ktree
 
 
-class NotOuterplanarWitness(ValueError):
+class NotOuterplanarWitness(InputError):
     """The 2-tree sequence lacks the outerplanar path-layer structure."""
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(InputError):
     """A gadget precoloring violates the extension routine's assumptions."""
 
 
@@ -200,6 +201,16 @@ def _extend_core(
     return tuple(flat[:p]), tuple(flat[p:])
 
 
+def _pack_vmask(masked: Callable[[int, int], bool], v: int, others: Iterable[int]) -> int:
+    """``_extend_core``'s vmask: bit r says whether the edge from the center
+    ``v`` to the r-th of ``others`` (x, y, u2, w2, the u stub, then the w
+    stub) is masked in."""
+    vmask = 0
+    for r, u in enumerate(others):
+        vmask |= masked(v, u) << r
+    return vmask
+
+
 def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Coloring:
     """Extend the gadget precoloring over the stubs.
 
@@ -217,13 +228,8 @@ def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Color
     def masked(a: int, bvert: int) -> bool:
         return ((a, bvert) if a < bvert else (bvert, a)) in mask
 
-    vmask = (
-        masked(V, X) | masked(V, Y) << 1 | masked(V, U2) << 2 | masked(V, W2) << 3
-    )
-    for r in range(g.u_len):
-        vmask |= masked(V, g.u_vertex(r)) << (4 + r)
-    for r in range(g.w_len):
-        vmask |= masked(V, g.w_vertex(r)) << (4 + g.u_len + r)
+    vmask = _pack_vmask(masked, V, chain(
+        (X, Y, U2, W2), map(g.u_vertex, range(g.u_len)), map(g.w_vertex, range(g.w_len))))
     ucol, wcol = _extend_core(g.u1_color, g.w1_color, g.u_len, g.w_len, vmask)
     assignment = {X: 2, Y: 3, V: 5, U1: g.u1_color, U2: 1, W2: 4, W1: g.w1_color}
     for r, col in enumerate(ucol):
@@ -244,20 +250,7 @@ def _path_components(g: Graph, layer: frozenset[int]) -> list[list[int]]:
         if len(nb) > 2:
             raise NotOuterplanarWitness(f"layer vertex {v} has {len(nb)} in-layer neighbors")
     comps = []
-    seen: set[int] = set()
-    for s in sorted(layer):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in sub[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
+    for comp in g.components(layer):
         ends = [v for v in comp if len(sub[v]) <= 1]
         if len(comp) == 1:
             comps.append([next(iter(comp))])
@@ -600,19 +593,9 @@ def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) 
     if j in (3, 4, 5):
         raise InvariantViolated("w1 precondition violated")
 
-    v = inst.center
-    vmask = (
-        in_mask(v, inst.x)
-        | in_mask(v, inst.y) << 1
-        | in_mask(v, inst.u2) << 2
-        | in_mask(v, inst.w2) << 3
-    )
-    p, q = len(inst.u_ext), len(inst.w_ext)
-    for r, u in enumerate(inst.u_ext):
-        vmask |= in_mask(v, u) << (4 + r)
-    for r, w in enumerate(inst.w_ext):
-        vmask |= in_mask(v, w) << (4 + p + r)
-    ucol, wcol = _extend_core(i, j, p, q, vmask)
+    vmask = _pack_vmask(in_mask, inst.center, chain(
+        (inst.x, inst.y, inst.u2, inst.w2), inst.u_ext, inst.w_ext))
+    ucol, wcol = _extend_core(i, j, len(inst.u_ext), len(inst.w_ext), vmask)
     for u, col in zip(inst.u_ext, ucol):
         if u in psi:
             raise InvariantViolated("stub vertex colored twice")

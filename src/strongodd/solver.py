@@ -19,7 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE, check_constraints, square
+from .graphs import Coloring, DiGraph, Graph, InputError, MultiplicityRule, ODD_RULE
+from .graphs import check_constraints, square
 from .verify import is_odd_coloring, is_proper, is_strong_odd
 
 
@@ -31,9 +32,9 @@ class SolverBudget:
 
     def __post_init__(self):
         if self.max_colors is not None and self.max_colors <= 0:
-            raise ValueError("max_colors must be positive")
+            raise InputError("max_colors must be positive")
         if self.node_limit <= 0 or self.time_limit <= 0:
-            raise ValueError("budget limits must be positive")
+            raise InputError("budget limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -359,7 +360,7 @@ def feasible(
     elif notion == "odd":
         scopes = ((), _odd_scopes(g))
     else:
-        raise ValueError(f"unknown notion {notion!r}")
+        raise InputError(f"unknown notion {notion!r}")
     engine = _Engine(g, rule, proper, *scopes, node_limit=budget.node_limit,
                      deadline=time.monotonic() + budget.time_limit)
     try:

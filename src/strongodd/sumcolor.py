@@ -11,11 +11,12 @@ parent cliques driven by representative vertices inside their host summands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .bounds import summand_bound, sum_bound
 from .canon import canonical_key
-from .graphs import Coloring, DiGraph, Graph, InvariantViolated, _densify, check_constraints
+from .graphs import Coloring, DiGraph, Graph, InputError, InvariantViolated
+from .graphs import _densify, check_constraints
 from .graphs import join_with_clique, product_coords, product_vertex, strong_product
 from .ktree import KTreeSeq, build_ktree
 from .rowtw import _rtw_color
@@ -27,11 +28,11 @@ from .sums import (
     layer_sum_desc,
     natural_layering,
 )
-from .treewidth import TypeMatrix, _layered_color, _pull_back, _tw_color
+from .treewidth import TypeMatrix, _base_sets_coloring, _color_by_reps, _layered_color, _pull_back
 
 
-class UntaggedClique(ValueError):
-    """A clique arrived without a valid host-summand tag."""
+class UntaggedClique(InputError):
+    """A clique of a sum admits no host-summand tag."""
 
 
 def _summand_color(
@@ -42,7 +43,7 @@ def _summand_color(
     sets: Sequence[frozenset[int]],
 ) -> dict[int, object]:
     """Raw coloring of (k-tree x path) + K_t; apexes get fresh colors."""
-    np = build_ktree(h_seq).n * path_len
+    np = h_seq.n * path_len
     apexes = range(np, np + t)
     apex_sets = [
         frozenset(u for u in arcs.out_neighbors(a) if u < np) for a in apexes
@@ -175,9 +176,6 @@ def _sum_clique_color_raw(
     would represent same-shaped cliques in both, so palettes are kept apart
     per summand to keep the representative map injective.
     """
-    for tag in tags:
-        if not s.summand_vertices(tag.summand) >= tag.clique:
-            raise UntaggedClique(f"{sorted(tag.clique)} not inside summand {tag.summand}")
     groups: dict[tuple, list[CliqueTag]] = {}
     for tag in tags:
         key = (tag.summand, _clique_type(tag, s))
@@ -193,39 +191,26 @@ def _sum_clique_color_raw(
                     f"representative {r} shared by two cliques of one type"
                 )
             reps[r] = tag
-        arcs = []
-        for r, tag in reps.items():
-            for x in tag.clique - {r}:
-                arcs.append((x, r))
-        marked = frozenset(reps)
-        psi = _sum_color(s, DiGraph(s.graph.n, arcs), [marked])
-        for r, tag in reps.items():
-            out[tag.clique] = (key, psi[r])
+        colored = _color_by_reps(s.graph.n, {tag.clique: r for r, tag in reps.items()},
+                                 lambda arcs, sets: _sum_color(s, arcs, sets))
+        for q, c in colored.items():
+            out[q] = (key, c)
     return out
 
 
 def sum_clique_coloring(
-    desc: SumDesc,
-    cliques: Iterable[frozenset[int]],
-    tags: Optional[Sequence[CliqueTag]] = None,
+    desc: SumDesc, cliques: Iterable[frozenset[int]]
 ) -> dict[frozenset[int], int]:
-    """Color a family of tagged cliques of the sum so that, around every
-    vertex, each color class among the cliques containing it has odd size or
-    is absent, and every color class has odd size overall."""
+    """Color a family of cliques of the sum so that, around every vertex,
+    each color class among the cliques containing it has odd size or is
+    absent, and every color class has odd size overall.  Each clique must
+    lie in a single summand (see ``tag_cliques``)."""
     s = build_sum(desc)
     cliques = [frozenset(q) for q in cliques]
     for q in cliques:
         if not s.graph.is_clique(q) or not q:
             raise UntaggedClique(f"{sorted(q)} is not a nonempty clique of the sum")
-    if tags is None:
-        raise UntaggedClique("cliques must arrive tagged; see tag_cliques")
-    by_clique = {tag.clique: tag for tag in tags}
-    ordered = []
-    for q in cliques:
-        if q not in by_clique:
-            raise UntaggedClique(f"{sorted(q)} has no tag")
-        ordered.append(by_clique[q])
-    return _densify(_sum_clique_color_raw(s, ordered), key=sorted)
+    return _densify(_sum_clique_color_raw(s, tag_cliques(s, cliques)), key=sorted)
 
 
 def _sum_color(
@@ -302,7 +287,6 @@ def _disjoint_sum_color(
     sigma: dict[int, object] = {}
     for mat in sorted(by_type, key=canonical_key):
         members = by_type[mat]
-        zero_tree = KTreeSeq.make(0, [(x, ()) for x in range(len(members))])
         marks = [
             frozenset(
                 idx for idx, i in enumerate(members)
@@ -310,8 +294,7 @@ def _disjoint_sum_color(
             )
             for j in range(len(sets))
         ]
-        sig = _tw_color(zero_tree, build_ktree(zero_tree), [DiGraph(len(members))],
-                        marks or [frozenset()])
+        sig = _base_sets_coloring(len(members), marks)
         for idx, i in enumerate(members):
             sigma[i] = sig[idx]
 

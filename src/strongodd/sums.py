@@ -11,17 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphs import Graph, join_with_clique, strong_product
+from .graphs import Graph, InputError, join_with_clique, strong_product
 from .ktree import (
     KTreeSeq,
     Layering,
     PropertyReport,
     build_ktree,
-    _component_parents,
+    _check_layer_edges,
+    _check_parent_cliques,
 )
 
 
-class InvalidAttachment(ValueError):
+class InvalidAttachment(InputError):
     """An attachment side is not a clique, or the two sides disagree in size."""
 
 
@@ -165,7 +166,7 @@ def natural_layering(desc: SumDesc) -> Layering:
     return Layering(tuple(frozenset(x) for x in layers), "natural")
 
 
-class LayerWitnessError(ValueError):
+class LayerWitnessError(InputError):
     """The layer admits no (w-1,k,t)-sum witness along the description."""
 
 
@@ -309,15 +310,7 @@ def validate_natural_properties(desc: SumDesc, layering: Layering) -> PropertyRe
     report.record("N1", n1_ok, n1_witness)
 
     # N2: per-component previous-layer neighborhoods are cliques of size <= w.
-    n2_ok, n2_witness = True, None
-    for i in range(1, len(layers)):
-        for comp, parents in _component_parents(g, layers[i], layers[i - 1]):
-            if len(parents) > desc.w or not g.is_clique(parents):
-                n2_ok, n2_witness = False, (i, sorted(comp), sorted(parents))
-                break
-        if not n2_ok:
-            break
-    report.record("N2", n2_ok, n2_witness)
+    report.record("N2", *_check_parent_cliques(g, layers, range(desc.w + 1)))
 
     # N3: each layer embeds into a (w-1,k,t)-sum built from the description.
     n3_ok, n3_witness = True, None
@@ -331,15 +324,5 @@ def validate_natural_properties(desc: SumDesc, layering: Layering) -> PropertyRe
             break
     report.record("N3", n3_ok, n3_witness)
 
-    layer_of = layering.layer_of()
-    n4_ok, n4_witness = True, None
-    missing = [v for v in range(g.n) if v not in layer_of]
-    if missing or sum(len(l) for l in layers) != g.n:
-        n4_ok, n4_witness = False, ("not a partition", missing)
-    else:
-        for u, v in g.edge_list():
-            if abs(layer_of[u] - layer_of[v]) > 1:
-                n4_ok, n4_witness = False, (u, v)
-                break
-    report.record("N4", n4_ok, n4_witness)
+    report.record("N4", *_check_layer_edges(g, layering))
     return report

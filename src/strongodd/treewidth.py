@@ -23,7 +23,7 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .bounds import tw_bound, tw_clique_bound
 from .canon import canonical_key
-from .graphs import Coloring, DiGraph, Graph, InputNotSubgraph, InvariantViolated
+from .graphs import Coloring, DiGraph, Graph, InputError, InputNotSubgraph, InvariantViolated
 from .graphs import _densify, check_constraints
 from .ktree import (
     Completion,
@@ -36,7 +36,7 @@ from .ktree import (
 )
 
 
-class NotAStepClique(ValueError):
+class NotAStepClique(InputError):
     """A clique submitted for clique coloring was never created by a step."""
 
 
@@ -205,6 +205,19 @@ def _rep_map(seq: KTreeSeq) -> dict[frozenset[int], int]:
     return {seq.represented_clique(v): v for v in range(seq.k, seq.n)}
 
 
+def _color_by_reps(
+    n: int,
+    reps: Mapping[frozenset[int], int],
+    color: Callable[[DiGraph, list[frozenset[int]]], Mapping[int, object]],
+) -> dict[frozenset[int], object]:
+    """Color each clique by its representative's color under
+    ``color(digraph, sets)``: an arc goes from each member to its clique's
+    representative, and the representatives form one tracked set."""
+    arcs = DiGraph(n, ((p, r) for q, r in reps.items() for p in q if p != r))
+    psi = color(arcs, [frozenset(reps.values())])
+    return {q: psi[r] for q, r in reps.items()}
+
+
 def _clique_color_raw(
     seq: KTreeSeq, g: Graph, cliques: Sequence[frozenset[int]]
 ) -> dict[frozenset[int], object]:
@@ -217,13 +230,7 @@ def _clique_color_raw(
         if q not in reps:
             raise NotAStepClique(f"{sorted(q)} is not a step clique")
         chosen[q] = reps[q]
-    arcs = []
-    for q, r in chosen.items():
-        for p in q - {r}:
-            arcs.append((p, r))
-    marked = frozenset(chosen.values())
-    psi = _tw_color(seq, g, [DiGraph(seq.n, arcs)], [marked])
-    return {q: psi[r] for q, r in chosen.items()}
+    return _color_by_reps(seq.n, chosen, lambda arcs, sets: _tw_color(seq, g, [arcs], sets))
 
 
 def clique_coloring(seq: KTreeSeq, cliques: Iterable[frozenset[int]]) -> dict[frozenset[int], int]:

@@ -15,13 +15,14 @@ from .graphs import (
     DiGraph,
     Graph,
     Hypergraph,
+    InputError,
     MultiplicityRule,
     ODD_RULE,
     PlaneGraph,
 )
 
 
-class PartialColoring(ValueError):
+class PartialColoring(InputError):
     """The coloring leaves a required vertex unassigned."""
 
 

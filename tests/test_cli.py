@@ -144,6 +144,46 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             invoke(["color", "--algo", "tw"], out)
 
+    def test_library_value_error_is_not_malformed_input(self, monkeypatch):
+        code, out = invoke(["gen", "--gadget", "ktree",
+                            "--params", "k=2,steps=10", "--seed", "1"])
+
+        def broken(*args):
+            raise ValueError("library bug")
+
+        monkeypatch.setattr(cli, "color_tw", broken)
+        with pytest.raises(ValueError, match="library bug"):
+            invoke(["color", "--algo", "tw"], out)
+
+    def test_unreadable_input_file_is_malformed_input(self, tmp_path, capsys):
+        code, _ = invoke(["solve", str(tmp_path / "no-such-file")])
+        assert code == 2
+        code, _ = invoke(["solve", "--file", str(tmp_path)])  # a directory
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error: cannot read input") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--gadget", "gk", "--params", "k=abc"],
+        ["gen", "--gadget", "gk", "--params", "k=0"],
+        ["gen", "--gadget", "outerplanar", "--params", "n=2"],
+        ["solve", "--node-limit", "0"],
+        ["solve", "--max-colors", "0"],
+    ])
+    def test_bad_arguments_are_malformed_input(self, argv):
+        code, _ = invoke(argv, json.dumps({"graph": {"n": 1, "edges": []}}))
+        assert code == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"graph": {"n": "x", "edges": []}},
+        {"graph": {"n": 2, "edges": [[0, 1, 1]]}},
+        "2 1\n0 x\n",
+    ])
+    def test_malformed_fields_are_malformed_input(self, payload):
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        code, _ = invoke(["solve"], text)
+        assert code == 2
+
 
 class TestLayering:
     def test_ktree_layering(self):

@@ -187,21 +187,22 @@ class TestSumCliqueColoring:
 
     def test_empty_family(self):
         desc = SumDesc.single(1, 0, 1, KTreeSeq.make(0, [(0, [])]), 1)
-        assert sum_clique_coloring(desc, [], []) == {}
+        assert sum_clique_coloring(desc, []) == {}
 
     def test_single_clique(self):
         desc = SumDesc.single(1, 0, 1, KTreeSeq.make(0, [(0, [])]), 2)
-        s = build_sum(desc)
-        cliques = [frozenset({0, 1})]
-        sigma = sum_clique_coloring(desc, cliques, tag_cliques(s, cliques))
+        sigma = sum_clique_coloring(desc, [frozenset({0, 1})])
         assert len(sigma) == 1
 
-    def test_untagged_rejected(self):
-        desc = SumDesc.single(1, 0, 1, KTreeSeq.make(0, [(0, [])]), 2)
+    def test_clique_in_no_single_summand_rejected(self):
+        # Two triangles glued at vertex 0: {0,1,2} and {0,3,4}.
+        summand = Summand(KTreeSeq.make(0, [(0, [])]), 2)
+        desc = SumDesc(1, 0, 1, (summand, summand), (((0,), (0,)),))
+        across = frozenset({1, 3})
+        with pytest.raises(UntaggedClique, match="no single summand"):
+            tag_cliques(build_sum(desc), [across])
         with pytest.raises(UntaggedClique):
-            sum_clique_coloring(desc, [frozenset({0, 1})], None)
-        with pytest.raises(UntaggedClique):
-            sum_clique_coloring(desc, [frozenset({0, 1})], [])
+            sum_clique_coloring(desc, [across])
 
     def test_sprime_properties_random(self):
         for i in range(60):
@@ -214,7 +215,7 @@ class TestSumCliqueColoring:
             cliques = self._random_cliques(s.graph, rng)
             if not cliques:
                 continue
-            sigma = sum_clique_coloring(desc, cliques, tag_cliques(s, cliques))
+            sigma = sum_clique_coloring(desc, cliques)
             classes = Counter(sigma.values())
             assert all(c % 2 == 1 for c in classes.values())
             for v in range(s.graph.n):
