@@ -18,13 +18,14 @@ mask edges and are stripped from the result.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .graphs import Coloring, Graph, InputError, InvariantViolated
-from .ktree import KTreeSeq, bfs_layering, build_ktree
+from .ktree import KTreeSeq
 
 
 class NotOuterplanarWitness(InputError):
@@ -201,13 +202,14 @@ def _extend_core(
     return tuple(flat[:p]), tuple(flat[p:])
 
 
-def _pack_vmask(masked: Callable[[int, int], bool], v: int, others: Iterable[int]) -> int:
-    """``_extend_core``'s vmask: bit r says whether the edge from the center
-    ``v`` to the r-th of ``others`` (x, y, u2, w2, the u stub, then the w
-    stub) is masked in."""
+def _pack_vmask(masked: Container[int], others: Iterable[int]) -> int:
+    """``_extend_core``'s vmask: bit r says whether the r-th of ``others``
+    (x, y, u2, w2, the u stub, then the w stub) is among ``masked``, the
+    center's masked neighbours."""
     vmask = 0
     for r, u in enumerate(others):
-        vmask |= masked(v, u) << r
+        if u in masked:
+            vmask |= 1 << r
     return vmask
 
 
@@ -219,16 +221,13 @@ def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Color
     first stub vertices avoid the colors of x and y respectively.
     """
     host = gadget_graph(g)
-    mask = set()
+    masked = set()
     for u, v in mask_edges:
         if not host.has_edge(u, v):
             raise PreconditionViolated(f"mask edge ({u},{v}) is not a gadget edge")
-        mask.add((u, v) if u < v else (v, u))
-
-    def masked(a: int, bvert: int) -> bool:
-        return ((a, bvert) if a < bvert else (bvert, a)) in mask
-
-    vmask = _pack_vmask(masked, V, chain(
+        if V in (u, v):
+            masked.add(v if u == V else u)
+    vmask = _pack_vmask(masked, chain(
         (X, Y, U2, W2), map(g.u_vertex, range(g.u_len)), map(g.w_vertex, range(g.w_len))))
     ucol, wcol = _extend_core(g.u1_color, g.w1_color, g.u_len, g.w_len, vmask)
     assignment = {X: 2, Y: 3, V: 5, U1: g.u1_color, U2: 1, W2: 4, W1: g.w1_color}
@@ -240,121 +239,51 @@ def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Color
 
 
 # ---------------------------------------------------------------------------
-# Structure validation of the witness sequence.
-
-
-def _path_components(g: Graph, layer: frozenset[int]) -> list[list[int]]:
-    """Split a layer into its paths; raise if any component is not a path."""
-    sub = {v: sorted(g.neighbors(v) & layer) for v in layer}
-    for v, nb in sub.items():
-        if len(nb) > 2:
-            raise NotOuterplanarWitness(f"layer vertex {v} has {len(nb)} in-layer neighbors")
-    comps = []
-    for comp in g.components(layer):
-        ends = [v for v in comp if len(sub[v]) <= 1]
-        if len(comp) == 1:
-            comps.append([next(iter(comp))])
-            continue
-        if len(ends) != 2:
-            raise NotOuterplanarWitness(f"layer component {sorted(comp)} is not a path")
-        cur, prev = min(ends), None
-        path = [cur]
-        while len(path) < len(comp):
-            nxt = [w for w in sub[cur] if w != prev]
-            if len(nxt) != 1:
-                raise NotOuterplanarWitness(f"layer component {sorted(comp)} is not a path")
-            prev, cur = cur, nxt[0]
-            path.append(cur)
-        comps.append(path)
-    return comps
-
-
-def validate_outerplanar_structure(seq: KTreeSeq) -> Graph:
-    """Check the path-layer structure the coloring relies on; return the
-    2-tree host, built once for the check."""
-    if seq.k != 2:
-        raise NotOuterplanarWitness("witness must be a 2-tree sequence")
-    g = build_ktree(seq)
-    layering = bfs_layering(seq)
-    layers = layering.layers
-    if len(layers[0]) != 2 or not g.is_clique(layers[0]):
-        raise NotOuterplanarWitness("first layer is not an edge")
-    for idx in range(1, len(layers)):
-        prev = layers[idx - 1]
-        claimed_edges = set()
-        for path in _path_components(g, layers[idx]):
-            below = {v: g.neighbors(v) & prev for v in path}
-            anchors = frozenset().union(*below.values())
-            if len(anchors) != 2 or not g.is_clique(anchors):
-                raise NotOuterplanarWitness(
-                    f"path {path} hangs below {sorted(anchors)}, not an edge"
-                )
-            if anchors in claimed_edges:
-                raise NotOuterplanarWitness(
-                    f"edge {sorted(anchors)} carries two layer paths"
-                )
-            claimed_edges.add(anchors)
-            shared = [v for v in path if len(below[v]) == 2]
-            if len(shared) != 1:
-                raise NotOuterplanarWitness(
-                    f"path {path} has {len(shared)} vertices with two neighbors below"
-                )
-            if any(len(below[v]) == 0 for v in path):
-                raise NotOuterplanarWitness(f"path {path} has a floating vertex")
-            s = path.index(shared[0])
-            left, right = path[:s], path[s + 1:]
-            # One side is all-x, the other all-y (either orientation).
-            def side_anchor(side):
-                seen_anchors = {next(iter(below[v])) for v in side}
-                return seen_anchors
-
-            la, ra = side_anchor(left), side_anchor(right)
-            if len(la) > 1 or len(ra) > 1 or (la and la == ra):
-                raise NotOuterplanarWitness(f"path {path} mixes its two subpaths")
-    return g
-
-
-# ---------------------------------------------------------------------------
-# The augmented host and the layer-by-layer driver.
+# The augmented host.
 
 
 class _Host:
     """Mutable augmented 2-tree: the original host on top of two dummy
-    layers, extended with path and stub padding as instances require."""
+    layers, extended with path and stub padding as instances require.
+
+    Original vertex v is vertex v + OFFSET here, and its BFS layer d (see
+    ``ktree.bfs_layering``) is the set of vertices at distance d + 3.
+    """
 
     OFFSET = 5  # dummy ids 0..4: bottom edge a,b; middle path d,v*,e
 
     def __init__(self, seq: KTreeSeq):
         self.parents: list[Optional[tuple[int, int]]] = [None, None]
-        self.adj: list[set[int]] = [set(), set()]
+        self.adj: list[set[int]] = [{1}, {0}]
         self.dist: list[int] = [1, 1]
         self.childs: dict[tuple[int, int], list[int]] = {}
-        self._edge(0, 1)
         self.attach(0, 1)          # 2 = middle shared
         self.attach(0, 2)          # 3 = middle x-side
         self.attach(1, 2)          # 4 = middle y-side
         self.attach(2, 3)          # 5 = original initial vertex 0
         self.attach(2, 5)          # 6 = original initial vertex 1
-        for v, ps in seq.steps:
-            a, b = sorted(ps)
-            self.attach(a + self.OFFSET, b + self.OFFSET)
-        self.n_real = seq.n
-
-    def _edge(self, a: int, b: int):
-        self.adj[a].add(b)
-        self.adj[b].add(a)
+        off = self.OFFSET
+        for _, (a, b) in seq.steps:
+            self.attach(a + off, b + off)
 
     def attach(self, a: int, b: int) -> int:
-        if b not in self.adj[a]:
-            raise NotOuterplanarWitness(f"attachment pair ({a},{b}) is not an edge")
-        v = len(self.adj)
-        self.adj.append(set())
-        self.parents.append((a, b) if a < b else (b, a))
-        self.dist.append(1 + min(self.dist[a], self.dist[b]))
-        self._edge(v, a)
-        self._edge(v, b)
         key = (a, b) if a < b else (b, a)
-        self.childs.setdefault(key, []).append(v)
+        adj = self.adj
+        if b not in adj[a]:
+            raise NotOuterplanarWitness(f"attachment pair ({a},{b}) is not an edge")
+        v = len(adj)
+        adj.append({a, b})
+        adj[a].add(v)
+        adj[b].add(v)
+        self.parents.append(key)
+        dist = self.dist
+        da, db = dist[a], dist[b]
+        dist.append(1 + (da if da < db else db))
+        kids = self.childs.get(key)
+        if kids is None:
+            self.childs[key] = [v]
+        else:
+            kids.append(v)
         return v
 
     def children_of(self, a: int, b: int) -> list[int]:
@@ -374,11 +303,120 @@ class _Host:
             out.append(cur)
 
     def layers(self) -> list[list[int]]:
+        """Vertices by distance, distance 1 first, each in increasing order."""
         top = max(self.dist)
         out: list[list[int]] = [[] for _ in range(top)]
         for v, dv in enumerate(self.dist):
             out[dv - 1].append(v)
         return out
+
+
+# ---------------------------------------------------------------------------
+# Structure validation of the witness sequence, read off the augmented host.
+
+
+def _original(vs: Iterable[int]) -> list[int]:
+    """Host vertices as the caller's vertex ids."""
+    return [v - _Host.OFFSET for v in vs]
+
+
+def _layer_paths(host: _Host, layer: list[int]):
+    """Split one layer of the host into its paths, ordered by least vertex
+    and read from the lesser end, and give each layer vertex its neighbours
+    in the layer below.  Raise if a component is not a path; of several
+    vertices with more than two neighbours in the layer, the least is named."""
+    adj, dist = host.adj, host.dist
+    d = dist[layer[0]]
+    inside: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {}
+    for v in layer:
+        same, down = [], []
+        for w in adj[v]:
+            if dist[w] == d:
+                same.append(w)
+            elif dist[w] == d - 1:
+                down.append(w)
+        if len(same) > 2:
+            raise NotOuterplanarWitness(
+                f"layer vertex {v - _Host.OFFSET} has {len(same)} in-layer neighbors"
+            )
+        inside[v] = same
+        below[v] = down
+    # Walk each path from its lesser end; a vertex no walk reaches has two
+    # neighbours in the layer, as has all of its component: a cycle.
+    paths = []
+    on_path: set[int] = set()
+    for end in layer:
+        if end in on_path or len(inside[end]) == 2:
+            continue
+        path, prev = [end], None
+        while True:
+            nxt = [w for w in inside[path[-1]] if w != prev]
+            if not nxt:
+                break
+            prev = path[-1]
+            path.append(nxt[0])
+        on_path.update(path)
+        paths.append(path)
+    if len(on_path) < len(layer):
+        start = next(v for v in layer if v not in on_path)
+        cycle, todo = {start}, [start]
+        while todo:
+            for w in inside[todo.pop()]:
+                if w not in cycle:
+                    cycle.add(w)
+                    todo.append(w)
+        raise NotOuterplanarWitness(
+            f"layer component {_original(sorted(cycle))} is not a path"
+        )
+    paths.sort(key=min)
+    return paths, below
+
+
+def validate_outerplanar_structure(seq: KTreeSeq) -> _Host:
+    """Check the path-layer structure the coloring relies on; return the
+    augmented host the check read, which ``color_outerplanar`` goes on to
+    pad and color."""
+    if seq.k != 2:
+        raise NotOuterplanarWitness("witness must be a 2-tree sequence")
+    host = _Host(seq)
+    layers = host.layers()[2:]  # the original BFS layers
+    first = layers[0]
+    if len(first) != 2 or first[1] not in host.adj[first[0]]:
+        raise NotOuterplanarWitness("first layer is not an edge")
+    claimed_edges = set()
+    for layer in layers[1:]:
+        paths, below = _layer_paths(host, layer)
+        for path in paths:
+            anchors = sorted({a for v in path for a in below[v]})
+            if len(anchors) != 2 or anchors[1] not in host.adj[anchors[0]]:
+                raise NotOuterplanarWitness(
+                    f"path {_original(path)} hangs below {_original(anchors)}, not an edge"
+                )
+            edge = tuple(anchors)
+            if edge in claimed_edges:
+                raise NotOuterplanarWitness(
+                    f"edge {_original(anchors)} carries two layer paths"
+                )
+            claimed_edges.add(edge)
+            shared = [v for v in path if len(below[v]) == 2]
+            if len(shared) != 1:
+                raise NotOuterplanarWitness(
+                    f"path {_original(path)} has {len(shared)} vertices with two neighbors below"
+                )
+            if any(not below[v] for v in path):
+                raise NotOuterplanarWitness(f"path {_original(path)} has a floating vertex")
+            # One side is all-x, the other all-y (either orientation).
+            s = path.index(shared[0])
+            la = {below[v][0] for v in path[:s]}
+            ra = {below[v][0] for v in path[s + 1:]}
+            if len(la) > 1 or len(ra) > 1 or (la and la == ra):
+                raise NotOuterplanarWitness(f"path {_original(path)} mixes its two subpaths")
+    return host
+
+
+# ---------------------------------------------------------------------------
+# The layer-by-layer driver.
 
 
 @dataclass
@@ -414,18 +452,28 @@ def _plan_path(host: _Host, shared: int, x: int, y: int) -> Optional[list[_Insta
         a, b = path_at(t), path_at(t + 1)
         return None if a is None or b is None else (a, b)
 
+    # One (shared child, t-side, (t+1)-side) entry per edge (p_t, p_{t+1}),
+    # walked once; stub padding grows the entry in place.
+    stubs: dict[int, tuple[Optional[int], list[int], list[int]]] = {}
+
     def stub(t: int) -> tuple[Optional[int], list[int], list[int]]:
         """Child path of edge (p_t, p_{t+1}): shared child, t-side, (t+1)-side."""
+        entry = stubs.get(t)
+        if entry is not None:
+            return entry
         e = edge_at(t)
         if e is None:
-            return None, [], []
+            return None, [], []  # not cached: path padding may add the edge
         kids = host.children_of(*e)
         if len(kids) > 1:
             raise InvariantViolated("two shared children on one edge")
-        if not kids:
-            return None, [], []
-        s = kids[0]
-        return s, host.chain(s, e[0]), host.chain(s, e[1])
+        if kids:
+            s = kids[0]
+            entry = s, host.chain(s, e[0]), host.chain(s, e[1])
+        else:
+            entry = None, [], []
+        stubs[t] = entry
+        return entry
 
     # Responsibilities: the shared child and near side of edge (t, t+1) go to
     # the instance closer to position 0, the far side to the other one.
@@ -457,29 +505,27 @@ def _plan_path(host: _Host, shared: int, x: int, y: int) -> Optional[list[_Insta
         end = left[-1] if left else shared
         left.append(host.attach(end, x))
 
-    def grown_stub(t: int, need_shared: bool, need_near: int, need_far: int):
+    def grown_stub(t: int, need_near: int, need_far: int):
         e = edge_at(t)
         if e is None:
             raise InvariantViolated(f"path padding left no edge at position {t}")
         s, near, far = stub(t)
-        if s is None and (need_shared or need_near or need_far):
+        if s is None:
             s = host.attach(*e)
             near, far = [], []
+            stubs[t] = s, near, far
         while len(near) < need_near:
-            prev = near[-1] if near else s
-            near.append(host.attach(prev, e[0]))
+            near.append(host.attach(near[-1] if near else s, e[0]))
         while len(far) < need_far:
-            prev = far[-1] if far else s
-            far.append(host.attach(prev, e[1]))
-        return s, near, far
+            far.append(host.attach(far[-1] if far else s, e[1]))
 
     # Stub padding per instance, then assemble.
     for t in range(0, t_max + 1):
-        grown_stub(t, True, 1, 2 if t + 1 <= t_max else 0)
-    grown_stub(-1, True, 0, 1)  # edge (-1, 0): shared + one on the 0 side
+        grown_stub(t, 1, 2 if t + 1 <= t_max else 0)
+    grown_stub(-1, 0, 1)  # edge (-1, 0): shared + one on the 0 side
     for t in range(-1, t_min - 1, -1):
-        grown_stub(t, True, 2, 1)      # u-ext on the t side, anchor on the t+1 side
-        grown_stub(t - 1, True, 0, 1)  # w-ext: shared + one on the t side
+        grown_stub(t, 2, 1)      # u-ext on the t side, anchor on the t+1 side
+        grown_stub(t - 1, 0, 1)  # w-ext: shared + one on the t side
 
     instances = []
     for t in list(range(0, t_max + 1)) + list(range(-1, t_min - 1, -1)):
@@ -519,23 +565,21 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     """8-coloring of the host whose restriction to the masked subgraph is
     strong odd.  ``mask`` is the subgraph's edge set (or a Graph on the host's
     vertices with a subset of its edges)."""
-    host_graph = validate_outerplanar_structure(seq)
+    host = validate_outerplanar_structure(seq)
     if isinstance(mask, Graph):
-        if mask.n != host_graph.n:
+        if mask.n != seq.n:
             raise NotOuterplanarWitness("mask graph has a different vertex count")
         mask_edges = mask.edges
     else:
         mask_edges = frozenset(tuple(sorted(e)) for e in mask)
-    for u, v in mask_edges:
-        if not host_graph.has_edge(u, v):
-            raise NotOuterplanarWitness(f"mask edge ({u},{v}) is not a host edge")
-
-    host = _Host(seq)
+    # Masked neighbours per host vertex; dummies carry no mask edges.
     off = _Host.OFFSET
-    masked = {(u + off, v + off) for u, v in mask_edges}
-
-    def in_mask(a: int, b: int) -> bool:
-        return (a, b) in masked or (b, a) in masked
+    masked: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in mask_edges:
+        if not (0 <= u < seq.n and 0 <= v < seq.n and v + off in host.adj[u + off]):
+            raise NotOuterplanarWitness(f"mask edge ({u},{v}) is not a host edge")
+        masked[u + off].add(v + off)
+        masked[v + off].add(u + off)
 
     # Plan instances layer by layer, top down, so padding at one layer is
     # visible to the spans of the layer below before its plan is drawn.
@@ -543,12 +587,13 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     # idx + 1, so the membership of the layers below can be read up front.
     plans: dict[int, list[_Instance]] = {}
     layers = host.layers()
+    parents, dist = host.parents, host.dist
     for idx in range(len(layers) - 1, 0, -1):
         plan = []
         shareds = []
         for v in layers[idx]:
-            a, b = host.parents[v]
-            if host.dist[a] == host.dist[b] == host.dist[v] - 1:
+            a, b = parents[v]
+            if dist[a] == dist[b] == idx:
                 shareds.append((v, a, b))
         for v, a, b in shareds:
             x, y = (a, b) if a < b else (b, a)
@@ -564,9 +609,10 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     for pos, v in enumerate(middle):
         psi[v] = 3 + pos % 3
 
+    unmasked: frozenset[int] = frozenset()
     for idx in sorted(plans):
         for inst in plans[idx]:
-            _apply_instance(host, inst, psi, in_mask)
+            _apply_instance(inst, psi, masked.get(inst.center, unmasked))
 
     out = {}
     for v in range(seq.n):
@@ -574,18 +620,27 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     return Coloring(out)
 
 
-def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) -> None:
-    slots = [inst.x, inst.y, inst.center, inst.u2, inst.w2]
-    cols = [psi[s] for s in slots]
+@lru_cache(maxsize=None)
+def _slot_renaming(cols: tuple[int, int, int, int, int]):
+    """Renaming of the caller's palette that sends the colors of x, y, the
+    center, u2 and w2 to the canonical 2, 3, 5, 1, 4 and the other three, in
+    order, to 6, 7, 8; returns it and its inverse as byte tables indexed by
+    color (up to 6,720 of them are cached, so they are kept small)."""
     if len(set(cols)) != 5:
-        raise InvariantViolated(f"precolored slots collide: {cols}")
-    canonical = {inst.x: 2, inst.y: 3, inst.center: 5, inst.u2: 1, inst.w2: 4}
-    rename = {psi[s]: canonical[s] for s in slots}
-    free = sorted(set(range(1, 9)) - set(rename))
-    free_targets = sorted(set(range(1, 9)) - set(rename.values()))
-    for src, dst in zip(free, free_targets):
-        rename[src] = dst
-    inverse = {dst: src for src, dst in rename.items()}
+        raise InvariantViolated(f"precolored slots collide: {list(cols)}")
+    rename = dict(zip(cols, (2, 3, 5, 1, 4)))
+    rename.update(zip(sorted(set(range(1, 9)) - set(cols)), (6, 7, 8)))
+    inverse = [0] * 9
+    for src, dst in rename.items():
+        inverse[dst] = src
+    return bytes(rename.get(c, 0) for c in range(9)), bytes(inverse)
+
+
+def _apply_instance(inst: _Instance, psi: dict[int, int], masked: Container[int]) -> None:
+    """Color one instance's stubs; ``masked`` holds the center's masked
+    neighbours."""
+    rename, inverse = _slot_renaming(
+        (psi[inst.x], psi[inst.y], psi[inst.center], psi[inst.u2], psi[inst.w2]))
     i = rename[psi[inst.u1]]
     j = rename[psi[inst.w1]]
     if i in (1, 2, 5):
@@ -593,7 +648,7 @@ def _apply_instance(host: _Host, inst: _Instance, psi: dict[int, int], in_mask) 
     if j in (3, 4, 5):
         raise InvariantViolated("w1 precondition violated")
 
-    vmask = _pack_vmask(in_mask, inst.center, chain(
+    vmask = _pack_vmask(masked, chain(
         (inst.x, inst.y, inst.u2, inst.w2), inst.u_ext, inst.w_ext))
     ucol, wcol = _extend_core(i, j, len(inst.u_ext), len(inst.w_ext), vmask)
     for u, col in zip(inst.u_ext, ucol):

@@ -204,9 +204,10 @@ def sum_clique_coloring(
     """Color a family of cliques of the sum so that, around every vertex,
     each color class among the cliques containing it has odd size or is
     absent, and every color class has odd size overall.  Each clique must
-    lie in a single summand (see ``tag_cliques``)."""
+    lie in a single summand (see ``tag_cliques``).  A repeated clique is
+    colored once."""
     s = build_sum(desc)
-    cliques = [frozenset(q) for q in cliques]
+    cliques = list(dict.fromkeys(frozenset(q) for q in cliques))
     for q in cliques:
         if not s.graph.is_clique(q) or not q:
             raise UntaggedClique(f"{sorted(q)} is not a nonempty clique of the sum")

@@ -201,7 +201,13 @@ def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
         priv = full.private[i]
         if not priv:
             continue
-        lays = {layer_of[v] for v in priv}
+        try:
+            lays = {layer_of[v] for v in priv}
+        except KeyError:
+            unlayered = sorted(v for v in priv if v not in layer_of)
+            raise LayerWitnessError(
+                f"summand {i} private vertices {unlayered} lie in no layer"
+            ) from None
         if len(lays) > 1:
             raise LayerWitnessError(f"summand {i} private vertices span layers {sorted(lays)}")
         if lays == {d}:

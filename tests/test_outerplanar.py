@@ -1,7 +1,10 @@
 """Outerplanar 8-coloring: the gadget extension and the full driver."""
 
+import hashlib
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -173,22 +176,76 @@ class TestStructureValidation:
             seq = gen_random_maximal_outerplanar(3 + seed, seed)
             validate_outerplanar_structure(seq)
 
+    # Messages name the caller's vertex ids.
     def test_rejects_wrong_k(self):
-        with pytest.raises(NotOuterplanarWitness):
+        with pytest.raises(NotOuterplanarWitness) as err:
             validate_outerplanar_structure(KTreeSeq.make(1, [(1, [0])]))
+        assert str(err.value) == "witness must be a 2-tree sequence"
 
     def test_rejects_nonsimple_two_tree(self):
         # Two vertices attached to the same edge from the same side produce a
         # branching layer.
         seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2]), (4, [0, 2])])
-        with pytest.raises(NotOuterplanarWitness):
+        with pytest.raises(NotOuterplanarWitness) as err:
             validate_outerplanar_structure(seq)
+        assert str(err.value) == "path [3, 2, 4] mixes its two subpaths"
 
     def test_rejects_double_path_on_one_edge(self):
         # Both sides of the initial edge used: two layer paths on one edge.
         seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 1])])
-        with pytest.raises(NotOuterplanarWitness):
+        with pytest.raises(NotOuterplanarWitness) as err:
             validate_outerplanar_structure(seq)
+        assert str(err.value) == "edge [0, 1] carries two layer paths"
+
+    def test_rejects_layer_vertex_of_degree_three(self):
+        seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2]), (4, [1, 2]), (5, [0, 2])])
+        with pytest.raises(NotOuterplanarWitness) as err:
+            validate_outerplanar_structure(seq)
+        assert str(err.value) == "layer vertex 2 has 3 in-layer neighbors"
+
+    def test_mask_edge_named_in_caller_ids(self):
+        seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2])])
+        with pytest.raises(NotOuterplanarWitness) as err:
+            color_outerplanar(seq, [(1, 3)])
+        assert str(err.value) == "mask edge (1,3) is not a host edge"
+        with pytest.raises(NotOuterplanarWitness):
+            color_outerplanar(seq, [(-1, 0)])  # would be a dummy of the augmented host
+
+
+# Hosts and masks whose colorings are pinned in data/outerplanar_colorings.json.
+PIN_SIZES = (3, 4, 5, 7, 10, 30, 100, 300, 1000, 3000)
+PIN_KEEP = (0.0, 0.3, 0.6, 1.0)
+
+
+def pinned_corpus():
+    """(name, seq, mask) for every pinned case: random maximal outerplanar
+    hosts under four mask keep rates, plus a 2,000-vertex fan."""
+    for n in PIN_SIZES:
+        seq = gen_random_maximal_outerplanar(n, seed=n)
+        edges = build_ktree(seq).edge_list()
+        for keep in PIN_KEEP:
+            rng = random.Random(n * 100 + round(keep * 10))
+            yield f"n{n}_keep{keep}", seq, Graph(n, [e for e in edges if rng.random() < keep])
+    n = 2000
+    seq = KTreeSeq.make(2, [(k, (0, k - 1)) for k in range(2, n)])
+    rng = random.Random(n)
+    yield "fan2000_keep0.5", seq, Graph(n, [e for e in build_ktree(seq).edge_list()
+                                            if rng.random() < 0.5])
+
+
+def coloring_digest(c: Coloring, n: int) -> str:
+    return hashlib.sha256(",".join(str(c.of(v)) for v in range(n)).encode()).hexdigest()
+
+
+class TestPinnedColorings:
+    def test_colorings_match_pins(self):
+        """Digests recorded from an earlier implementation of the driver:
+        a refactor must keep giving the same colorings on the same inputs."""
+        pins = json.loads((Path(__file__).parent / "data" / "outerplanar_colorings.json").read_text())
+        got = {name: coloring_digest(color_outerplanar(seq, mask), seq.n)
+               for name, seq, mask in pinned_corpus()}
+        assert len(got) == 41
+        assert got == pins
 
 
 class TestDriver:

@@ -194,6 +194,13 @@ class TestSumCliqueColoring:
         sigma = sum_clique_coloring(desc, [frozenset({0, 1})])
         assert len(sigma) == 1
 
+    def test_repeated_clique_colored_once(self):
+        # As in treewidth.clique_coloring, a repeat is one clique of the family.
+        desc = SumDesc.single(1, 0, 1, KTreeSeq.make(0, [(0, [])]), 2)
+        q = frozenset({0, 1})
+        assert sum_clique_coloring(desc, [q, q]) == sum_clique_coloring(desc, [q])
+        assert len(sum_clique_coloring(desc, [q, q])) == 1
+
     def test_clique_in_no_single_summand_rejected(self):
         # Two triangles glued at vertex 0: {0,1,2} and {0,3,4}.
         summand = Summand(KTreeSeq.make(0, [(0, [])]), 2)

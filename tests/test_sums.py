@@ -9,6 +9,7 @@ from strongodd.graphs import Graph
 from strongodd.ktree import KTreeSeq, Layering
 from strongodd.sums import (
     InvalidAttachment,
+    LayerWitnessError,
     SumDesc,
     Summand,
     build_sum,
@@ -144,6 +145,20 @@ class TestNaturalLayering:
         )
         report = validate_natural_properties(desc, perturbed)
         assert not report.ok
+
+    def test_dropped_vertex_fails_n3_with_witness(self):
+        # A layering that leaves a summand's private vertex out is reported,
+        # not met with a KeyError.
+        desc = random_sum_desc(1, 0, 0, 2, seed=0)
+        layering = natural_layering(desc)
+        assert 0 in layering.layers[0]
+        dropped = Layering((layering.layers[0] - {0},) + layering.layers[1:], "natural")
+        report = validate_natural_properties(desc, dropped)
+        assert not report.results["N3"]
+        assert report.witnesses["N3"] == (0, "summand 0 private vertices [0] lie in no layer")
+        assert not report.results["N4"]
+        with pytest.raises(LayerWitnessError):
+            layer_sum_desc(build_sum(desc), dropped, 0)
 
     def test_one_summand_n1_trivial(self):
         desc = SumDesc.single(2, 0, 1, KTreeSeq.make(0, [(0, [])]), 3)
