@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class InputError(ValueError):
@@ -177,10 +177,19 @@ class DiGraph:
     def arc_list(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 
+    def induced_arcs(self, keep: Collection[int]) -> Iterator[tuple[int, int]]:
+        """The arcs with both endpoints in ``keep``, found by walking the
+        out-neighborhoods of the kept vertices, so the cost follows the
+        kept part, not the whole digraph."""
+        for u in keep:
+            if 0 <= u < self.n:
+                for v in self._out[u]:
+                    if v in keep:
+                        yield (u, v)
+
     def restrict(self, vertices: Iterable[int]) -> "DiGraph":
         """Sub-digraph keeping only arcs with both endpoints in ``vertices``."""
-        keep = set(vertices)
-        return DiGraph(self.n, (a for a in self.arcs if a[0] in keep and a[1] in keep))
+        return DiGraph(self.n, self.induced_arcs(set(vertices)))
 
     def is_subgraph_of(self, g: Graph) -> bool:
         return all(g.has_edge(u, v) for u, v in self.arcs)

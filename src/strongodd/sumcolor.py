@@ -6,6 +6,10 @@ the apexes.  The sum coloring recurses on w along the natural layering by
 running the layered skeleton ``treewidth._layered_color`` with per-layer sum
 witnesses in place of (k-1)-tree completions, and with a clique coloring of
 parent cliques driven by representative vertices inside their host summands.
+Each subinstance is the part of its layer's witness that its vertices need
+(``sums.restrict_sum``), and each group of cliques (one host summand, one
+type) is colored on its own summand, in that summand's local ids, never on
+the whole layer sum.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from .sums import (
     LayerWitness,
     Sum,
     SumDesc,
+    _natural_layering,
     build_sum,
     layer_sum_desc,
-    natural_layering,
+    restrict_sum,
 )
-from .treewidth import TypeMatrix, _base_sets_coloring, _color_by_reps, _layered_color, _pull_back
+from .treewidth import TypeMatrix, _base_sets_coloring, _color_by_reps, _layered_color
+from .treewidth import _pull_back, _restrict_to
 
 
 class UntaggedClique(InputError):
@@ -48,7 +54,7 @@ def _summand_color(
     apex_sets = [
         frozenset(u for u in arcs.out_neighbors(a) if u < np) for a in apexes
     ]
-    prod_arcs = DiGraph(np, ((a, b) for a, b in arcs.arcs if a < np and b < np))
+    prod_arcs = DiGraph(np, arcs.induced_arcs(range(np)))
     prod_sets = [frozenset(v for v in m if v < np) for m in sets] + apex_sets
     raw = _rtw_color(h_seq, path_len, prod_arcs, prod_sets)
     for i, a in enumerate(apexes):
@@ -155,16 +161,14 @@ def _clique_type(tag: CliqueTag, s: Sum) -> tuple:
     return (a1, a2, a3)
 
 
-def _rep_vertex(tag: CliqueTag, s: Sum) -> int:
-    summand = s.desc.summands[tag.summand]
+def _rep_vertex(tag: CliqueTag, s: Sum, loc: dict[int, int]) -> int:
+    """The representative of a tagged clique, in the host summand's local
+    ids (``loc`` maps the sum's ids to them)."""
     if tag.qh:
-        local = product_vertex(max(tag.qh), tag.layer, summand.ktree.n)
-    else:
-        # Empty product: the clique is pure apexes and determined by its
-        # type, so any fixed member works as representative.
-        loc = s.to_local(tag.summand)
-        local = max(loc[v] for v in tag.clique)
-    return s.vmaps[tag.summand][local]
+        return product_vertex(max(tag.qh), tag.layer, s.desc.summands[tag.summand].ktree.n)
+    # Empty product: the clique is pure apexes and determined by its type,
+    # so any fixed member works as representative.
+    return max(loc[v] for v in tag.clique)
 
 
 def _sum_clique_color_raw(
@@ -172,29 +176,40 @@ def _sum_clique_color_raw(
 ) -> dict[frozenset[int], object]:
     """Clique coloring of a sum via representatives, per host-summand type.
 
-    The type includes the host summand: two summands can share a vertex that
-    would represent same-shaped cliques in both, so palettes are kept apart
-    per summand to keep the representative map injective.
+    The type includes the host summand, so every group lies in one summand
+    and is colored on that summand alone, in its local ids: the work per
+    group follows the summand, not the whole sum.  Palettes are kept apart
+    per summand, as two summands can share a vertex that would represent
+    same-shaped cliques in both.
     """
+    desc = s.desc
     groups: dict[tuple, list[CliqueTag]] = {}
     for tag in tags:
         key = (tag.summand, _clique_type(tag, s))
         groups.setdefault(key, []).append(tag)
+    locs: dict[int, dict[int, int]] = {}
     out: dict[frozenset[int], object] = {}
     for key in sorted(groups, key=canonical_key):
-        members = groups[key]
-        reps = {}
-        for tag in sorted(members, key=lambda tg: sorted(tg.clique)):
-            r = _rep_vertex(tag, s)
+        i = key[0]
+        summand = desc.summands[i]
+        if i not in locs:
+            locs[i] = s.to_local(i)
+        loc = locs[i]
+        reps: dict[int, frozenset[int]] = {}  # local representative -> clique
+        for tag in sorted(groups[key], key=lambda tg: sorted(tg.clique)):
+            r = _rep_vertex(tag, s, loc)
             if r in reps:
                 raise UntaggedClique(
-                    f"representative {r} shared by two cliques of one type"
+                    f"representative {s.vmaps[i][r]} shared by two cliques of one type"
                 )
-            reps[r] = tag
-        colored = _color_by_reps(s.graph.n, {tag.clique: r for r, tag in reps.items()},
-                                 lambda arcs, sets: _sum_color(s, arcs, sets))
-        for q, c in colored.items():
-            out[q] = (key, c)
+            reps[r] = tag.clique
+        local = {frozenset(loc[v] for v in q): r for r, q in reps.items()}
+        colored = _color_by_reps(
+            summand.n(desc.t), local,
+            lambda arcs, sets: _summand_color(summand.ktree, summand.path_len, desc.t,
+                                              arcs, sets))
+        for lq, r in local.items():
+            out[reps[r]] = (key, colored[lq])
     return out
 
 
@@ -224,7 +239,7 @@ def _sum_color(
     if desc.w == 0:
         return _disjoint_sum_color(s, arcs, sets)
 
-    layering = natural_layering(desc)
+    layering = _natural_layering(s)
     layers = layering.layers
     if not any(layers):
         return {}
@@ -234,7 +249,8 @@ def _sum_color(
 
     def witness(d: int, vs):
         wit = witnesses[d]
-        return wit.sum, wit.sum.graph.n, wit.embed
+        sub, to_sub = restrict_sum(wit.sum, (wit.embed[v] for v in vs))
+        return sub, sub.graph.n, {v: to_sub[wit.embed[v]] for v in vs}
 
     def color(sub: Sum, digraphs: list[DiGraph], sub_sets):
         return _sum_color(sub, *digraphs, sub_sets)
@@ -243,7 +259,8 @@ def _sum_color(
         return _pull_back(witness, color, d, layers[d], [digraph], layer_sets)
 
     first = color_layer(0, arcs, [m & layers[0] for m in sets])
-    chis = [color_layer(d, DiGraph(s.graph.n), []) for d in range(len(layers) - 1)]
+    no_arcs = DiGraph(s.graph.n)
+    chis = [color_layer(d, no_arcs, []) for d in range(len(layers) - 1)]
 
     def parent_rows(d: int, q: frozenset[int], vq: set[int]):
         chi = chis[d - 1]
@@ -267,11 +284,7 @@ def _disjoint_sum_color(
     for i, summand in enumerate(desc.summands):
         verts = s.summand_vertices(i)
         loc = s.to_local(i)
-        n_local = summand.n(desc.t)
-        local_arcs = DiGraph(
-            n_local,
-            ((loc[a], loc[b]) for a, b in arcs.arcs if a in verts and b in verts),
-        )
+        local_arcs = _restrict_to(arcs, verts, loc, summand.n(desc.t))
         local_sets = [frozenset(loc[v] for v in m & verts) for m in sets]
         raw = _summand_color(summand.ktree, summand.path_len, desc.t,
                              local_arcs, local_sets)

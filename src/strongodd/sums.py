@@ -9,6 +9,7 @@ directly and the validators check properties structurally against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import Graph, InputError, join_with_clique, strong_product
@@ -88,6 +89,15 @@ class Sum:
     def summand_vertices(self, i: int) -> frozenset[int]:
         return frozenset(self.vmaps[i])
 
+    @cached_property
+    def owner(self) -> tuple[int, ...]:
+        """owner[g] is the summand whose private part holds the vertex g."""
+        out = [0] * self.graph.n
+        for i, priv in enumerate(self.private):
+            for g in priv:
+                out[g] = i
+        return tuple(out)
+
 
 def build_sum(desc: SumDesc) -> Sum:
     """Glue the summands in order, validating every attachment."""
@@ -141,12 +151,57 @@ def build_sum(desc: SumDesc) -> Sum:
     return Sum(desc, Graph(n, edges), tuple(vmaps), tuple(private))
 
 
+def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
+    """The sum of the summands of ``s`` needed to cover ``vertices``, and
+    the map of each given vertex to its id there.
+
+    It keeps, in their order, the summands whose private parts meet
+    ``vertices`` and, recursively, the owners of their attachment vertices,
+    so every kept attachment glues onto kept summands and the result is a
+    (w,k,t)-sum again.  The earliest summand holding an edge has an endpoint
+    private to it, so every edge of ``s`` inside ``vertices`` is kept.  An
+    empty ``vertices`` keeps the first summand alone, as a sum has at least
+    one.  The cost follows the kept summands, not ``s``.
+    """
+    desc = s.desc
+    vertices = list(vertices)
+    chosen: set[int] = set()
+    todo = {s.owner[v] for v in vertices} or {0}
+    while todo:
+        i = todo.pop()
+        if i not in chosen:
+            chosen.add(i)
+            if i:
+                todo.update(s.owner[g] for g in desc.attachments[i - 1][0])
+    if len(chosen) == len(desc.summands):
+        return s, {v: v for v in vertices}
+    kept = sorted(chosen)
+    to_sub: dict[int, int] = {}
+    attachments = []
+    for pos, i in enumerate(kept):
+        glued: tuple[int, ...] = ()
+        if pos:
+            host, glued = desc.attachments[i - 1]
+            attachments.append((tuple(to_sub[g] for g in host), glued))
+        for l, g in enumerate(s.vmaps[i]):
+            if l not in glued:
+                to_sub[g] = len(to_sub)
+    sub_desc = SumDesc(desc.w, desc.k, desc.t,
+                       tuple(desc.summands[i] for i in kept), tuple(attachments))
+    return build_sum(sub_desc), {v: to_sub[v] for v in vertices}
+
+
 def natural_layering(desc: SumDesc) -> Layering:
     """Layer the sum by the insertion recursion: each summand's private part
     goes one layer above the lowest layer its attachment clique meets."""
     if desc.w < 1:
         raise InvalidAttachment("natural_layering requires w >= 1")
-    s = build_sum(desc)
+    return _natural_layering(build_sum(desc))
+
+
+def _natural_layering(s: Sum) -> Layering:
+    """``natural_layering`` of the sum ``s`` already built (w >= 1)."""
+    desc = s.desc
     layer_of: dict[int, int] = {}
     for v in s.private[0]:
         layer_of[v] = 0

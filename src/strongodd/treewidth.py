@@ -4,8 +4,11 @@ The construction follows the BFS layering of the k-tree.  Each layer is
 colored through its parent cliques: every clique's children get a recursive
 coloring inside a (k-1)-tree completion of the layer slice, cliques are
 grouped by a type matrix recording which recursive colors meet which tracked
-sets, cliques of equal type share a clique coloring, and a final mod-3 layer
-tag plus a layer-parity repair assemble the result.
+sets, and cliques of equal type share a clique coloring, computed on the
+(k-1)-tree completion of those cliques' own vertices rather than of their
+whole layer.  A final mod-3 layer tag plus a layer-parity repair assemble the
+result.  Every subinstance is as large as the part of the layer it covers:
+one clique's children, or one type class's cliques, never the whole layer.
 
 ``_layered_color`` is that construction written once, with the parts that
 depend on the instance passed in; the sum coloring of ``sumcolor`` runs it
@@ -77,15 +80,22 @@ class TypeMatrix:
         return f"TypeMatrix({len(self.entries)} ones)"
 
 
+def _restrict_to(
+    h: DiGraph, vs: Collection[int], to_sub: Mapping[int, int], sub_n: int
+) -> DiGraph:
+    """The arcs of ``h`` inside ``vs``, renamed by ``to_sub`` into a digraph
+    on ``sub_n`` vertices; the cost follows ``vs``, not ``h``."""
+    return DiGraph(sub_n, ((to_sub[a], to_sub[b]) for a, b in h.induced_arcs(vs)))
+
+
 def _pull_back(slice_of, color, d: int, vs, digraphs, sets) -> dict[int, object]:
     """Color the vertices ``vs`` of layer ``d`` inside the subinstance
     ``slice_of(d, vs)``, under the digraphs restricted to ``vs`` and the
-    given subsets of ``vs``, and read the colors back."""
+    given subsets of ``vs``, and read the colors back.  The digraphs are
+    restricted by walking the out-neighborhoods of ``vs`` alone, so one
+    clique's children cost what they span, not the whole layer."""
     sub, sub_n, to_sub = slice_of(d, vs)
-    sub_digraphs = [
-        DiGraph(sub_n, ((to_sub[a], to_sub[b]) for a, b in h.arcs if a in vs and b in vs))
-        for h in digraphs
-    ]
+    sub_digraphs = [_restrict_to(h, vs, to_sub, sub_n) for h in digraphs]
     raw = color(sub, sub_digraphs, [frozenset(to_sub[v] for v in m) for m in sets])
     return {v: raw[to_sub[v]] for v in vs}
 
@@ -124,8 +134,9 @@ def _layered_color(
     ``slice_of(d, children)`` (a triple: instance, vertex count, vertex map),
     tracking every set and every ``parent_rows`` out-neighborhood.  Cliques
     of equal type matrix share one ``color_cliques`` coloring inside the
-    previous layer's subinstance.  A mod-3 layer tag and the layer-parity
-    repair finish the coloring.
+    subinstance ``slice_of(d - 1, ...)`` of the vertices those cliques span,
+    so each class costs its own cliques, not the whole previous layer.  A
+    mod-3 layer tag and the layer-parity repair finish the coloring.
     """
     layers = layering.layers
     phi: dict[int, object] = {v: (c, -1, -1, 1) for v, c in first.items()}
@@ -147,10 +158,10 @@ def _layered_color(
         by_type: dict[TypeMatrix, list[frozenset[int]]] = {}
         for q, (_, mat) in per_clique.items():
             by_type.setdefault(mat, []).append(q)
-        prev, _, to_prev = slice_of(d - 1, layers[d - 1])
         sigma: dict[frozenset[int], object] = {}
         for mat in sorted(by_type, key=canonical_key):
             qs = sorted(by_type[mat], key=sorted)
+            prev, _, to_prev = slice_of(d - 1, frozenset().union(*qs))
             mapped = [frozenset(to_prev[v] for v in q) for q in qs]
             colored = color_cliques(prev, mapped)
             for q, mq in zip(qs, mapped):

@@ -1,5 +1,7 @@
 """Core graph types and constructors."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,6 +163,20 @@ class TestDiGraph:
     def test_restrict(self):
         d = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
         assert d.restrict([0, 1, 2]).arcs == {(0, 1), (1, 2)}
+
+    def test_induced_walk_matches_full_scan(self):
+        # The out-neighborhood walk must find exactly the arcs a scan of
+        # every arc keeps, each once, on empty, partial and full subsets.
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randrange(0, 14)
+            d = DiGraph(n, [(u, v) for u in range(n) for v in range(n)
+                            if u != v and rng.random() < 0.3])
+            for keep in (set(), set(range(n)),
+                         {v for v in range(n) if rng.random() < 0.5}):
+                scanned = sorted(a for a in d.arcs if a[0] in keep and a[1] in keep)
+                assert sorted(d.induced_arcs(keep)) == scanned
+                assert d.restrict(keep) == DiGraph(n, scanned)
 
 
 class TestPlaneGraph:

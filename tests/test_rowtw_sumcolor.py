@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from strongodd import InvariantViolated
+from strongodd import InvariantViolated, sumcolor
 from strongodd.bounds import Bound
 from strongodd.experiments import random_sum_desc, random_subdigraph, random_subsets
 from strongodd.gadgets import gen_random_partial_ktree
@@ -139,6 +139,30 @@ class TestColorSum:
         arcs = random_subdigraph(build_sum(desc).graph, random.Random(2))
         assert color_sum(desc, arcs, []).assignment == \
             color_sum(desc, arcs, []).assignment
+
+
+class TestLinearWork:
+    def test_clique_groups_colored_on_their_own_summand(self, monkeypatch):
+        # A (summand, type) group of parent cliques is colored on its host
+        # summand alone, never on the whole layer sum around it.
+        desc = random_sum_desc(2, 1, 1, 24, seed=5)
+        s = build_sum(desc)
+        rng = random.Random(5)
+        arcs = random_subdigraph(s.graph, rng)
+        sets = random_subsets(s.graph.n, 2, rng)
+        largest = max(summand.n(desc.t) for summand in desc.summands)
+        sizes = []
+        inner = sumcolor._color_by_reps
+
+        def counted(n, reps, color):
+            sizes.append(n)
+            return inner(n, reps, color)
+
+        monkeypatch.setattr(sumcolor, "_color_by_reps", counted)
+        c = color_sum(desc, arcs, sets)
+        assert sizes and max(sizes) <= largest
+        assert is_proper(s.graph, c).ok and is_strong_odd_directed(arcs, c).ok
+        assert all(is_strong_odd_on_set(c, m) for m in sets)
 
 
 class TestCallHistory:

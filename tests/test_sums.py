@@ -15,6 +15,7 @@ from strongodd.sums import (
     build_sum,
     layer_sum_desc,
     natural_layering,
+    restrict_sum,
     validate_natural_properties,
 )
 
@@ -190,3 +191,33 @@ class TestLayerWitness:
         layering = natural_layering(desc)
         wit = layer_sum_desc(s, layering, 0)
         assert all(not h for h, _ in wit.desc.attachments)
+
+
+class TestRestrictSum:
+    def test_covers_the_vertices_with_their_edges(self):
+        for trial in range(80):
+            rng = random.Random(600 + trial)
+            desc = random_sum_desc(rng.choice([0, 1, 2]), rng.choice([0, 1]),
+                                   rng.choice([0, 1]), rng.randrange(1, 8), seed=trial)
+            s = build_sum(desc)
+            for _ in range(3):
+                vs = {v for v in range(s.graph.n) if rng.random() < 0.3}
+                sub, to_sub = restrict_sum(s, vs)
+                assert (sub.desc.w, sub.desc.k, sub.desc.t) == (desc.w, desc.k, desc.t)
+                assert set(to_sub) == vs and len(set(to_sub.values())) == len(vs)
+                for u in vs:
+                    for v in vs:
+                        assert s.graph.has_edge(u, v) == sub.graph.has_edge(to_sub[u], to_sub[v])
+
+    def test_keeps_only_the_summands_needed(self):
+        # A disjoint sum keeps the one summand a vertex lies in; a summand
+        # glued onto another keeps the one it is glued to as well.
+        tri = triangle_summand()
+        s = build_sum(SumDesc(0, 1, 1, (tri, tri, tri), (((), ()), ((), ()))))
+        sub, to_sub = restrict_sum(s, [4])
+        assert sub.desc.summands == (tri,) and sub.graph.n == 3 and to_sub == {4: 1}
+        glued = build_sum(SumDesc(1, 1, 1, (tri, tri, tri), (((1,), (0,)), ((), ()))))
+        sub, to_sub = restrict_sum(glued, [4])
+        assert len(sub.desc.summands) == 2 and sub.graph.n == 5 and to_sub == {4: 4}
+        assert restrict_sum(glued, range(glued.graph.n))[0] is glued
+        assert restrict_sum(glued, [])[0].desc.summands == (tri,)

@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from strongodd.bounds import tw_bound, tw_clique_bound
-from strongodd.experiments import tw_instance
+from strongodd import treewidth
+from strongodd.experiments import random_subdigraph, random_subsets, tw_instance
 from strongodd.gadgets import gen_random_partial_ktree
 from strongodd.graphs import Coloring, DiGraph, Graph
 from strongodd.ktree import KTreeSeq, bfs_layering, build_ktree
@@ -113,6 +114,32 @@ class TestColorTw:
             color_tw(seq, [DiGraph(seq.n, [(0, 4)])], [])
         with pytest.raises(InputNotSubgraph):
             color_tw(seq, [], [frozenset({99})])
+
+
+class TestLinearWork:
+    def test_clique_classes_colored_on_their_own_cliques(self, monkeypatch):
+        # Each type class is colored on the completion of its own cliques'
+        # vertices, so the clique-coloring instances hold at most k vertices
+        # per parent clique in total, not one previous layer per class.
+        k = 2
+        seq, host = gen_random_partial_ktree(k, 600 - k, 1.0, seed=5)
+        rng = random.Random(5)
+        digraphs = [random_subdigraph(host, rng) for _ in range(2)]
+        sets = random_subsets(host.n, 2, rng)
+        calls = []
+        inner = treewidth._clique_color_raw
+
+        def counted(sub_seq, g, cliques):
+            calls.append((sub_seq.n, len(cliques)))
+            return inner(sub_seq, g, cliques)
+
+        monkeypatch.setattr(treewidth, "_clique_color_raw", counted)
+        c = color_tw(seq, digraphs, sets)
+        assert calls
+        assert sum(n for n, _ in calls) <= k * sum(m for _, m in calls)
+        assert is_proper(host, c).ok
+        assert all(is_strong_odd_directed(h, c).ok for h in digraphs)
+        assert all(is_strong_odd_on_set(c, m) for m in sets)
 
 
 class TestCliqueColoring:
