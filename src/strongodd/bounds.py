@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 CAP_BITS = 1 << 16  # exact values up to 65536 bits (8 KiB integers)
 

@@ -18,10 +18,9 @@ from .gadgets import (
     gen_iso_gadget,
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
-    gk_leaves,
 )
 from .graphs import Coloring, DiGraph, Graph
-from .ktree import KTreeSeq, build_ktree
+from .ktree import build_ktree
 from .outerplanar import _extend_core, color_outerplanar
 from .rowtw import color_rtw
 from .solver import (

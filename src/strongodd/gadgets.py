@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Optional
 
 from .graphs import Graph, InputError, PlaneGraph
 from .ktree import KTreeSeq, build_ktree

@@ -139,9 +139,6 @@ class Completion:
     from_local: tuple[Optional[int], ...]
     host: Graph = field(compare=False, repr=False)
 
-    def graph(self) -> Graph:
-        return self.host
-
 
 class CompletionError(InputError):
     """The slice admits no (k-1)-tree completion along the inherited order."""

@@ -114,13 +114,11 @@ class _Engine:
         proper: bool,
         rule_scopes: Sequence[frozenset[int]],
         odd_scopes: Sequence[frozenset[int]] = (),
-        symmetry: bool = True,
         node_limit: int = 10**18,
         deadline: float = float("inf"),
     ):
         self.n = g.n
         self.proper = proper
-        self.symmetry = symmetry
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
@@ -192,7 +190,7 @@ class _Engine:
             raise _Stop
         if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
             raise _Stop
-        limit = min(used + 1, self.t) if self.symmetry else self.t
+        limit = min(used + 1, self.t)
         forbidden = {self.color[u] for u in self.adj[v]} if self.proper else ()
         for c in range(limit):
             if c in forbidden:
@@ -240,7 +238,6 @@ def _solve_min(
     proper: bool,
     rule_scopes: Sequence[frozenset[int]] = (),
     odd_scopes: Sequence[frozenset[int]] = (),
-    symmetry: bool = True,
     stats: Optional[SolveStats] = None,
     fallback: Callable[[], Optional[Coloring]] = lambda: None,
 ) -> tuple[int, Coloring]:
@@ -251,7 +248,7 @@ def _solve_min(
     start = time.monotonic()
     if g.n == 0:
         return 0, Coloring({})
-    engine = _Engine(g, rule, proper, rule_scopes, odd_scopes, symmetry=symmetry,
+    engine = _Engine(g, rule, proper, rule_scopes, odd_scopes,
                      node_limit=budget.node_limit, deadline=start + budget.time_limit)
 
     def exceeded(lower_bound: int) -> BudgetExceeded:
@@ -279,12 +276,10 @@ def chi_so_exact(
     g: Graph,
     budget: Optional[SolverBudget] = None,
     rule: MultiplicityRule = ODD_RULE,
-    symmetry: bool = True,
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Minimum colors in a strong odd coloring (proper + neighborhood rule)."""
-    return _solve_min(g, budget, rule, True, _strong_odd_scopes(g),
-                      symmetry=symmetry, stats=stats,
+    return _solve_min(g, budget, rule, True, _strong_odd_scopes(g), stats=stats,
                       fallback=lambda: _square_coloring(g, rule))
 
 
@@ -292,25 +287,21 @@ def chi_iso_exact(
     g: Graph,
     budget: Optional[SolverBudget] = None,
     rule: MultiplicityRule = ODD_RULE,
-    symmetry: bool = True,
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Improper variant: the neighborhood rule without properness."""
-    return _solve_min(g, budget, rule, False, _strong_odd_scopes(g),
-                      symmetry=symmetry, stats=stats,
+    return _solve_min(g, budget, rule, False, _strong_odd_scopes(g), stats=stats,
                       fallback=lambda: _square_coloring(g, rule))
 
 
 def chi_odd_exact(
     g: Graph,
     budget: Optional[SolverBudget] = None,
-    symmetry: bool = True,
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Minimum colors in an odd coloring: proper, and every non-isolated
     vertex sees some color an odd number of times."""
-    return _solve_min(g, budget, ODD_RULE, True, odd_scopes=_odd_scopes(g),
-                      symmetry=symmetry, stats=stats,
+    return _solve_min(g, budget, ODD_RULE, True, odd_scopes=_odd_scopes(g), stats=stats,
                       fallback=lambda: _if_valid(_greedy(square(g)),
                                                  lambda c: is_odd_coloring(g, c)))
 
@@ -318,11 +309,10 @@ def chi_odd_exact(
 def chi_exact(
     g: Graph,
     budget: Optional[SolverBudget] = None,
-    symmetry: bool = True,
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Ordinary chromatic number."""
-    return _solve_min(g, budget, ODD_RULE, True, symmetry=symmetry, stats=stats,
+    return _solve_min(g, budget, ODD_RULE, True, stats=stats,
                       fallback=lambda: _if_valid(_greedy(g), lambda c: is_proper(g, c)))
 
 
@@ -331,7 +321,6 @@ def chi_so_constrained(
     constraints: ConstraintSet,
     budget: Optional[SolverBudget] = None,
     rule: MultiplicityRule = ODD_RULE,
-    symmetry: bool = True,
     stats: Optional[SolveStats] = None,
 ) -> tuple[int, Coloring]:
     """Minimum colors proper on g, strong odd on every digraph constraint's
@@ -342,7 +331,7 @@ def chi_so_constrained(
         scopes.extend(d.out_neighbors(v) for v in range(d.n))
     scopes.extend(frozenset(m) for m in constraints.sets)
     # Arc properness is implied by properness on g since arcs are g-edges.
-    return _solve_min(g, budget, rule, True, scopes, symmetry=symmetry, stats=stats)
+    return _solve_min(g, budget, rule, True, scopes, stats=stats)
 
 
 def feasible(

@@ -83,14 +83,22 @@ def color_summand(
 
 @dataclass(frozen=True)
 class CliqueTag:
-    """Host choice for a clique of a sum: the summand containing it, the
-    (k+1)-clique of the summand's k-tree covering its product projection,
-    and the lower of the two product layers it meets."""
+    """A clique of a sum as seen from its host: the earliest summand
+    containing it, its members in that summand's local ids, its type there
+    and its representative (a local id).
+
+    The type is read off the (k+1)-clique of the summand's k-tree covering
+    the clique's product projection, on the lower of the two product layers
+    the clique meets: which of its members the clique holds on that layer,
+    which on the next, and which apexes.  The representative is the copy of
+    that clique's largest member on the lower layer, or, for a clique of
+    apexes alone (determined by its type), its largest member."""
 
     clique: frozenset[int]
     summand: int
-    qh: tuple[int, ...]
-    layer: int
+    local: frozenset[int]
+    type: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    rep: int
 
 
 def _extend_clique(h: Graph, base: set[int], size: int) -> tuple[int, ...]:
@@ -107,24 +115,28 @@ def _extend_clique(h: Graph, base: set[int], size: int) -> tuple[int, ...]:
 
 
 def tag_cliques(s: Sum, cliques: Iterable[frozenset[int]]) -> list[CliqueTag]:
-    """Tag every clique with its earliest host summand and a covering
-    (k+1)-clique of that summand's k-tree."""
+    """Tag every clique with its earliest host summand and its local ids,
+    type and representative there.  Each summand's id map and k-tree are
+    built at most once per call."""
     desc = s.desc
+    k1 = desc.k + 1
+    hosts: dict[int, tuple[dict[int, int], Graph]] = {}
     tags = []
     for q in cliques:
         q = frozenset(q)
-        host = None
-        for i in range(len(desc.summands)):
-            if q <= s.summand_vertices(i):
-                host = i
+        # No summand before the owner of a member holds that member.
+        for host in range(max((s.owner[v] for v in q), default=0), len(desc.summands)):
+            if host not in hosts:
+                hosts[host] = (s.to_local(host), build_ktree(desc.summands[host].ktree))
+            loc, h = hosts[host]
+            if loc.keys() >= q:
                 break
-        if host is None:
+        else:
             raise UntaggedClique(f"{sorted(q)} lies in no single summand")
-        summand = desc.summands[host]
-        h = build_ktree(summand.ktree)
-        np = h.n * summand.path_len
-        loc = s.to_local(host)
-        coords = [product_coords(loc[v], h.n) for v in q if loc[v] < np]
+        path_len = desc.summands[host].path_len
+        np = h.n * path_len
+        local = frozenset(loc[v] for v in q)
+        coords = [product_coords(l, h.n) for l in local if l < np]
         layers = sorted({d for _, d in coords})
         if len(layers) > 2 or (len(layers) == 2 and layers[1] != layers[0] + 1):
             raise UntaggedClique(f"{sorted(q)} spans non-adjacent product layers")
@@ -132,43 +144,14 @@ def tag_cliques(s: Sum, cliques: Iterable[frozenset[int]]) -> list[CliqueTag]:
         proj = {v for v, _ in coords}
         if not h.is_clique(proj):
             raise UntaggedClique(f"{sorted(q)} projects to a non-clique")
-        qh = _extend_clique(h, proj, summand.ktree.k + 1)
-        tags.append(CliqueTag(q, host, qh, d0))
+        qh = _extend_clique(h, proj, k1)
+        held = [tuple(1 if i < len(qh) and d < path_len
+                      and product_vertex(qh[i], d, h.n) in local else 0 for i in range(k1))
+                for d in (d0, d0 + 1)]
+        ctype = (*held, tuple(1 if np + i in local else 0 for i in range(desc.t)))
+        rep = product_vertex(max(qh), d0, h.n) if qh else max(local)
+        tags.append(CliqueTag(q, host, local, ctype, rep))
     return tags
-
-
-def _clique_type(tag: CliqueTag, s: Sum) -> tuple:
-    desc = s.desc
-    summand = desc.summands[tag.summand]
-    h_n = summand.ktree.n
-    np = h_n * summand.path_len
-    loc = s.to_local(tag.summand)
-    local = {loc[v] for v in tag.clique}
-    k1 = desc.k + 1
-    a1 = tuple(
-        1 if i < len(tag.qh) and product_vertex(tag.qh[i], tag.layer, h_n) in local else 0
-        for i in range(k1)
-    )
-    a2 = tuple(
-        1
-        if i < len(tag.qh)
-        and tag.layer + 1 < summand.path_len
-        and product_vertex(tag.qh[i], tag.layer + 1, h_n) in local
-        else 0
-        for i in range(k1)
-    )
-    a3 = tuple(1 if np + i in local else 0 for i in range(desc.t))
-    return (a1, a2, a3)
-
-
-def _rep_vertex(tag: CliqueTag, s: Sum, loc: dict[int, int]) -> int:
-    """The representative of a tagged clique, in the host summand's local
-    ids (``loc`` maps the sum's ids to them)."""
-    if tag.qh:
-        return product_vertex(max(tag.qh), tag.layer, s.desc.summands[tag.summand].ktree.n)
-    # Empty product: the clique is pure apexes and determined by its type,
-    # so any fixed member works as representative.
-    return max(loc[v] for v in tag.clique)
 
 
 def _sum_clique_color_raw(
@@ -185,31 +168,23 @@ def _sum_clique_color_raw(
     desc = s.desc
     groups: dict[tuple, list[CliqueTag]] = {}
     for tag in tags:
-        key = (tag.summand, _clique_type(tag, s))
-        groups.setdefault(key, []).append(tag)
-    locs: dict[int, dict[int, int]] = {}
+        groups.setdefault((tag.summand, tag.type), []).append(tag)
     out: dict[frozenset[int], object] = {}
-    for key in sorted(groups, key=canonical_key):
+    for key, group in groups.items():
         i = key[0]
         summand = desc.summands[i]
-        if i not in locs:
-            locs[i] = s.to_local(i)
-        loc = locs[i]
-        reps: dict[int, frozenset[int]] = {}  # local representative -> clique
-        for tag in sorted(groups[key], key=lambda tg: sorted(tg.clique)):
-            r = _rep_vertex(tag, s, loc)
-            if r in reps:
+        reps: dict[int, CliqueTag] = {}
+        for tag in group:
+            if reps.setdefault(tag.rep, tag) is not tag:
                 raise UntaggedClique(
-                    f"representative {s.vmaps[i][r]} shared by two cliques of one type"
+                    f"representative {s.vmaps[i][tag.rep]} shared by two cliques of one type"
                 )
-            reps[r] = tag.clique
-        local = {frozenset(loc[v] for v in q): r for r, q in reps.items()}
         colored = _color_by_reps(
-            summand.n(desc.t), local,
+            summand.n(desc.t), {tag.local: r for r, tag in reps.items()},
             lambda arcs, sets: _summand_color(summand.ktree, summand.path_len, desc.t,
                                               arcs, sets))
-        for lq, r in local.items():
-            out[reps[r]] = (key, colored[lq])
+        for tag in group:
+            out[tag.clique] = (key, colored[tag.local])
     return out
 
 
@@ -279,8 +254,8 @@ def _disjoint_sum_color(
 ) -> dict[int, object]:
     """w = 0 base: disjoint summands, synchronized by summand types."""
     desc = s.desc
-    raws = []
-    mats = []
+    parts = []
+    by_type: dict[TypeMatrix, list[int]] = {}
     for i, summand in enumerate(desc.summands):
         verts = s.summand_vertices(i)
         loc = s.to_local(i)
@@ -288,35 +263,24 @@ def _disjoint_sum_color(
         local_sets = [frozenset(loc[v] for v in m & verts) for m in sets]
         raw = _summand_color(summand.ktree, summand.path_len, desc.t,
                              local_arcs, local_sets)
-        cells = []
-        for j, m in enumerate(local_sets):
-            for l in m:
-                cells.append((("M", j), raw[l]))
-        raws.append(raw)
-        mats.append(TypeMatrix(cells))
-
-    by_type: dict[TypeMatrix, list[int]] = {}
-    for i, mat in enumerate(mats):
+        mat = TypeMatrix((("M", j), raw[l]) for j, m in enumerate(local_sets) for l in m)
+        parts.append((verts, loc, raw, mat))
         by_type.setdefault(mat, []).append(i)
+
     sigma: dict[int, object] = {}
-    for mat in sorted(by_type, key=canonical_key):
-        members = by_type[mat]
+    for members in by_type.values():
         marks = [
-            frozenset(
-                idx for idx, i in enumerate(members)
-                if sets[j] & s.summand_vertices(i)
-            )
-            for j in range(len(sets))
+            frozenset(idx for idx, i in enumerate(members) if not m.isdisjoint(parts[i][0]))
+            for m in sets
         ]
         sig = _base_sets_coloring(len(members), marks)
         for idx, i in enumerate(members):
             sigma[i] = sig[idx]
 
     out: dict[int, object] = {}
-    for i in range(len(desc.summands)):
-        loc = s.to_local(i)
-        for v in s.summand_vertices(i):
-            out[v] = (raws[i][loc[v]], mats[i], sigma[i])
+    for i, (verts, loc, raw, mat) in enumerate(parts):
+        for v in verts:
+            out[v] = (raw[loc[v]], mat, sigma[i])
     return out
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graphs import Graph, InputError, join_with_clique, strong_product
 from .ktree import (
@@ -230,14 +230,12 @@ class LayerWitness:
     """A (w-1,k,t)-sum containing an induced copy of one layer.
 
     ``embed`` maps layer vertices (global ids of the full sum) to global ids
-    of the witness sum; ``contributors`` lists the source summand indices in
-    gluing order.
+    of the witness sum.
     """
 
     desc: SumDesc
     sum: Sum
     embed: dict[int, int]
-    contributors: tuple[int, ...]
 
 
 def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
@@ -339,7 +337,7 @@ def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
         if u in layer and v in layer:
             if not sub.graph.has_edge(embed[u], embed[v]):
                 raise LayerWitnessError(f"layer {d}: edge ({u},{v}) missing from witness")
-    return LayerWitness(sub_desc, sub, embed, tuple(contributors))
+    return LayerWitness(sub_desc, sub, embed)
 
 
 def validate_natural_properties(desc: SumDesc, layering: Layering) -> PropertyReport:

@@ -21,7 +21,8 @@ independent subinstances synchronize.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .bounds import tw_bound, tw_clique_bound
@@ -43,41 +44,35 @@ class NotAStepClique(InputError):
     """A clique submitted for clique coloring was never created by a step."""
 
 
+@dataclass(frozen=True)
 class TypeMatrix:
     """Sparse 0-1 matrix over (tracked-set row, color value) cells.
 
-    Only the 1-cells are stored; rows are keyed semantically (("M", j) for
-    tracked sets, ("N", i, h) for digraph/parent-vertex rows) and columns by
-    the color values themselves, so matrices of equal meaning compare equal
-    regardless of how many colors the palette bound would allow.  The hash
-    is computed once: matrices sit nested inside every structured color
-    value, which is hashed on each dict or set operation.
+    Only the 1-cells are stored, as one set; rows are keyed semantically
+    (("M", j) for tracked sets, ("N", i, h) for digraph/parent-vertex rows)
+    and columns by the color values themselves, so matrices of equal meaning
+    compare equal regardless of how many colors the palette bound would
+    allow.  Equality and hash are the set's, and a frozenset caches its
+    hash: matrices sit nested inside every structured color value, which is
+    hashed on each dict or set operation.
     """
 
-    __slots__ = ("entries", "_key", "_hash")
+    cells: frozenset[tuple[tuple, object]]
 
-    def __init__(self, cells: Iterable[tuple[tuple, object]]):
-        keyed = sorted(((canonical_key(e), e) for e in set(cells)), key=itemgetter(0))
-        entries = tuple(e for _, e in keyed)
-        key = tuple(k for k, _ in keyed)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+    def __post_init__(self):
+        object.__setattr__(self, "cells", frozenset(self.cells))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("TypeMatrix is immutable")
+    def canonical_key(self) -> tuple:
+        """The cells' canonical keys in order; computed on first use, as
+        only a sort by ``canon.canonical_key`` needs it."""
+        return self._cell_keys
 
-    def canonical_key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, TypeMatrix) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
+    @cached_property
+    def _cell_keys(self) -> tuple:
+        return tuple(sorted(map(canonical_key, self.cells)))
 
     def __repr__(self):
-        return f"TypeMatrix({len(self.entries)} ones)"
+        return f"TypeMatrix({len(self.cells)} ones)"
 
 
 def _restrict_to(
@@ -159,8 +154,7 @@ def _layered_color(
         for q, (_, mat) in per_clique.items():
             by_type.setdefault(mat, []).append(q)
         sigma: dict[frozenset[int], object] = {}
-        for mat in sorted(by_type, key=canonical_key):
-            qs = sorted(by_type[mat], key=sorted)
+        for qs in by_type.values():
             prev, _, to_prev = slice_of(d - 1, frozenset().union(*qs))
             mapped = [frozenset(to_prev[v] for v in q) for q in qs]
             colored = color_cliques(prev, mapped)
@@ -282,10 +276,10 @@ def _tw_color(
         return comp, comp.seq.n, comp.to_local
 
     def color(comp: Completion, sub_digraphs, sub_sets):
-        return _tw_color(comp.seq, comp.graph(), sub_digraphs, sub_sets)
+        return _tw_color(comp.seq, comp.host, sub_digraphs, sub_sets)
 
     def color_cliques(comp: Completion, cliques):
-        return _clique_color_raw(comp.seq, comp.graph(), cliques)
+        return _clique_color_raw(comp.seq, comp.host, cliques)
 
     def parent_rows(d: int, q: frozenset[int], vq: set[int]):
         # A parent k-clique holds one vertex of each layer color 1..k.

@@ -159,7 +159,7 @@ class TestLayerCompletion:
             for layer in bfs_layering(seq).layers:
                 comp = layer_completion(seq, layer)
                 assert comp.seq.k == k - 1
-                completed = comp.graph()
+                completed = comp.host
                 for v in layer:
                     for u in g.neighbors(v) & layer:
                         assert completed.has_edge(comp.to_local[v], comp.to_local[u])

@@ -164,6 +164,24 @@ class TestLinearWork:
         assert is_proper(s.graph, c).ok and is_strong_odd_directed(arcs, c).ok
         assert all(is_strong_odd_on_set(c, m) for m in sets)
 
+    def test_tagging_builds_each_summand_once(self, monkeypatch):
+        # Tagging reads each host summand's k-tree once per call, not once
+        # per clique.
+        desc = random_sum_desc(2, 1, 1, 48, seed=3)
+        s = build_sum(desc)
+        cliques = [frozenset(e) for e in s.graph.edge_list()]
+        calls = []
+        inner = sumcolor.build_ktree
+
+        def counted(seq):
+            calls.append(seq)
+            return inner(seq)
+
+        monkeypatch.setattr(sumcolor, "build_ktree", counted)
+        tags = tag_cliques(s, cliques)
+        assert len(tags) == len(cliques) > 2 * len(desc.summands)
+        assert len(calls) <= len(desc.summands)
+
 
 class TestCallHistory:
     def test_outputs_do_not_depend_on_earlier_calls(self):

@@ -207,13 +207,15 @@ class TestOracle:
         assert value == 2
         assert enumerate_oracle(star4, 2, rule=rule)
 
-    def test_symmetry_toggle_equals(self):
+    def test_first_color_pruning_matches_oracle(self):
+        # The search opens at most one new color per vertex; the oracle
+        # tries every assignment, so the least t must agree.
         rng = random.Random(21)
         for _ in range(25):
             g = random_graph(rng.randrange(1, 7), rng.random(), rng)
-            with_pruning, _ = chi_so_exact(g, symmetry=True)
-            without, _ = chi_so_exact(g, symmetry=False)
-            assert with_pruning == without
+            value, _ = chi_so_exact(g)
+            assert enumerate_oracle(g, value)
+            assert not enumerate_oracle(g, value - 1)
 
 
 class TestOddSolver:

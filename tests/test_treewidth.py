@@ -7,6 +7,7 @@ import pytest
 
 from strongodd.bounds import tw_bound, tw_clique_bound
 from strongodd import treewidth
+from strongodd.canon import canonical_key
 from strongodd.experiments import random_subdigraph, random_subsets, tw_instance
 from strongodd.gadgets import gen_random_partial_ktree
 from strongodd.graphs import Coloring, DiGraph, Graph
@@ -178,8 +179,7 @@ class TestTypeMatrix:
         a = TypeMatrix([(("M", 0), 5), (("N", 0, 1), 7)])
         b = TypeMatrix([(("N", 0, 1), 7), (("M", 0), 5)])
         assert a == b and hash(a) == hash(b)
-        # Shuffled and repeated cells holding nested matrices; the hash
-        # cached at construction is the hash of the canonical key.
+        # Shuffled and repeated cells holding nested matrices.
         inner = TypeMatrix([(("M", 0), (1, 0))])
         cells = [(("M", j), (c, inner, j % 3)) for j in range(4) for c in range(3)]
         cells += [(("N", 0, h), ("apex", h)) for h in range(3)]
@@ -188,9 +188,24 @@ class TestTypeMatrix:
             shuffled = list(cells)
             random.Random(seed).shuffle(shuffled)
             mats.append(TypeMatrix(shuffled + shuffled[:5]))
-        for m in mats + [a]:
-            assert hash(m) == hash(m.canonical_key())
         assert all(m == mats[0] and hash(m) == hash(mats[0]) for m in mats)
+
+    def test_canonical_order(self):
+        # Pinned: a sort by ``canonical_key`` gives this order in every process.
+        inner = TypeMatrix([(("M", 0), (1, 0))])
+        mats = [
+            TypeMatrix([]),
+            TypeMatrix([(("M", 0), 5)]),
+            TypeMatrix([(("M", 0), 5), (("M", 0), 3)]),
+            TypeMatrix([(("M", 1), 2)]),
+            TypeMatrix([(("N", 0, 1), 7), (("M", 0), 5)]),
+            TypeMatrix([(("M", 0), (1, inner, 2))]),
+            TypeMatrix([(("M", 0), ("apex", 0))]),
+            TypeMatrix([(("M", 0), (0, inner, 2))]),
+        ]
+        assert canonical_key(mats[1]) == (4, ((2, ((2, ((1, "M"), (0, 0))), (0, 5))),))
+        order = sorted(range(len(mats)), key=lambda i: canonical_key(mats[i]))
+        assert order == [0, 2, 1, 4, 7, 5, 6, 3]
 
     def test_inequality(self):
         assert TypeMatrix([(("M", 0), 5)]) != TypeMatrix([(("M", 1), 5)])
@@ -198,7 +213,7 @@ class TestTypeMatrix:
     def test_immutable(self):
         m = TypeMatrix([])
         with pytest.raises(AttributeError):
-            m.entries = ()
+            m.cells = frozenset()
 
 
 class TestParityRepair:
