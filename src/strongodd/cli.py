@@ -22,6 +22,7 @@ from .gadgets import (
     gen_random_partial_ktree,
 )
 from .graphs import DiGraph, Graph, InputError, InvariantViolated, MultiplicityRule, ODD_RULE
+from .graphs import join_with_clique, strong_product
 from .ktree import bfs_layering, build_ktree, validate_bfs_properties
 from .outerplanar import color_outerplanar
 from .rowtw import color_rtw
@@ -195,8 +196,16 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+# The constraint fields each algorithm reads; its coloring need not hold on any other.
+_CONSTRAINT_FIELDS = {"outerplanar": (), "tw": ("digraphs", "sets"), "rtw": ("arcs", "sets"),
+                      "summand": ("arcs", "sets"), "sum": ("arcs", "sets")}
+
+
 def cmd_color(args) -> int:
     payload = _read_payload(args)
+    for name in ("arcs", "digraphs", "sets"):
+        if name in payload and name not in _CONSTRAINT_FIELDS[args.algo]:
+            raise InputError(f"--algo {args.algo} does not read the field {name!r}")
     arcs = None
     if "arcs" in payload:
         arcs = graphio.digraph_from_json(payload["arcs"])
@@ -215,16 +224,12 @@ def cmd_color(args) -> int:
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
         path_len = _int(_field(payload, "path_len"), "path_len")
         coloring = color_rtw(seq, path_len, arcs, sets)
-        from .graphs import strong_product
-
         out_graph = graphio.graph_to_json(strong_product(build_ktree(seq), path_len))
     elif args.algo == "summand":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
         path_len = _int(_field(payload, "path_len"), "path_len")
         t = _int(_field(payload, "t"), "t")
         coloring = color_summand(seq, path_len, t, arcs, sets)
-        from .graphs import join_with_clique, strong_product
-
         out_graph = graphio.graph_to_json(join_with_clique(
             strong_product(build_ktree(seq), path_len), t))
     elif args.algo == "sum":

@@ -19,7 +19,7 @@ from .gadgets import (
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
 )
-from .graphs import Coloring, DiGraph, Graph
+from .graphs import Coloring, DiGraph, Graph, join_with_clique, strong_product
 from .ktree import build_ktree
 from .outerplanar import _extend_core, color_outerplanar
 from .rowtw import color_rtw
@@ -348,6 +348,21 @@ def tw_instance(index: int, quick=False):
     return seq, g, digraphs, sets
 
 
+def _strong_odd_everywhere(g: Graph, c: Coloring, digraphs, sets) -> bool:
+    """Proper on the host ``g``, strong odd on every digraph and on every
+    tracked set: the contract of every layered construction."""
+    return (is_proper(g, c).ok
+            and all(is_strong_odd_directed(d, c).ok for d in digraphs)
+            and all(is_strong_odd_on_set(c, m) for m in sets))
+
+
+def _odd_clique_classes(sigma: dict) -> bool:
+    """Every class of the clique coloring ``sigma`` is odd overall and
+    among the cliques around every vertex."""
+    around = Counter((v, c) for q, c in sigma.items() for v in q)
+    return all(n % 2 == 1 for n in (*Counter(sigma.values()).values(), *around.values()))
+
+
 def crit_tw(quick=False) -> dict:
     count = 20 if quick else 200
     failures = []
@@ -355,12 +370,9 @@ def crit_tw(quick=False) -> dict:
     for i in range(count):
         seq, g, digraphs, sets = tw_instance(i, quick)
         coloring = color_tw(seq, digraphs, sets)
-        ok = is_proper(g, coloring).ok
-        ok = ok and all(is_strong_odd_directed(d, coloring).ok for d in digraphs)
-        ok = ok and all(is_strong_odd_on_set(coloring, m) for m in sets)
-        ok = ok and tw_bound(seq.k, len(digraphs), len(sets)).at_least(
-            coloring.num_colors())
-        if not ok:
+        bound = tw_bound(seq.k, len(digraphs), len(sets))
+        if not (_strong_odd_everywhere(g, coloring, digraphs, sets)
+                and bound.at_least(coloring.num_colors())):
             failures.append(i)
     elapsed = time.monotonic() - start
     return {"name": "tw_construction",
@@ -379,13 +391,7 @@ def crit_clique_colorings(quick=False) -> dict:
         seq, _ = gen_random_partial_ktree(k, rng.randrange(1, 25), 1.0, seed=i)
         cliques = [seq.represented_clique(v)
                    for v in range(k, seq.n) if rng.random() < 0.6]
-        sigma = clique_coloring(seq, cliques)
-        classes = Counter(sigma.values())
-        ok = all(c % 2 == 1 for c in classes.values())
-        for v in range(seq.n):
-            around = Counter(sigma[q] for q in sigma if v in q)
-            ok = ok and all(c % 2 == 1 for c in around.values())
-        if not ok:
+        if not _odd_clique_classes(clique_coloring(seq, cliques)):
             failures.append(("tw", i))
     for i in range(count):
         rng = random.Random(99_000 + i)
@@ -411,13 +417,7 @@ def crit_clique_colorings(quick=False) -> dict:
         cliques = sorted(cliques, key=sorted)
         if not cliques:
             continue
-        sigma = sum_clique_coloring(desc, cliques)
-        classes = Counter(sigma.values())
-        ok = all(c % 2 == 1 for c in classes.values())
-        for v in range(g.n):
-            around = Counter(sigma[q] for q in sigma if v in q)
-            ok = ok and all(c % 2 == 1 for c in around.values())
-        if not ok:
+        if not _odd_clique_classes(sum_clique_coloring(desc, cliques)):
             failures.append(("sum", i))
     elapsed = time.monotonic() - start
     return {"name": "clique_colorings",
@@ -430,8 +430,6 @@ def crit_rtw_and_sums(quick=False) -> dict:
     count = 10 if quick else 100
     failures = []
     start = time.monotonic()
-    from .graphs import join_with_clique, strong_product
-
     for i in range(count):
         rng = random.Random(11_000 + i)
         k = rng.choice([0, 1])
@@ -441,9 +439,7 @@ def crit_rtw_and_sums(quick=False) -> dict:
         arcs = random_subdigraph(prod, rng)
         sets = random_subsets(prod.n, rng.randrange(0, 3), rng)
         c = color_rtw(hseq, path_len, arcs, sets)
-        ok = is_proper(prod, c).ok and is_strong_odd_directed(arcs, c).ok
-        ok = ok and all(is_strong_odd_on_set(c, m) for m in sets)
-        if not ok:
+        if not _strong_odd_everywhere(prod, c, [arcs], sets):
             failures.append(("rtw", i))
     for i in range(count):
         rng = random.Random(12_000 + i)
@@ -454,9 +450,7 @@ def crit_rtw_and_sums(quick=False) -> dict:
         arcs = random_subdigraph(f, rng)
         sets = random_subsets(f.n, rng.randrange(0, 3), rng)
         c = color_summand(hseq, path_len, t, arcs, sets)
-        ok = is_proper(f, c).ok and is_strong_odd_directed(arcs, c).ok
-        ok = ok and all(is_strong_odd_on_set(c, m) for m in sets)
-        if not ok:
+        if not _strong_odd_everywhere(f, c, [arcs], sets):
             failures.append(("summand", i))
     for i in range(count):
         rng = random.Random(13_000 + i)
@@ -469,9 +463,7 @@ def crit_rtw_and_sums(quick=False) -> dict:
         arcs = random_subdigraph(g, rng)
         sets = random_subsets(g.n, rng.randrange(0, 3), rng)
         c = color_sum(desc, arcs, sets)
-        ok = is_proper(g, c).ok and is_strong_odd_directed(arcs, c).ok
-        ok = ok and all(is_strong_odd_on_set(c, m) for m in sets)
-        if not ok:
+        if not _strong_odd_everywhere(g, c, [arcs], sets):
             failures.append(("sum", i))
     elapsed = time.monotonic() - start
     return {"name": "rtw_and_sums",

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .bounds import Bound
+
 
 class InputError(ValueError):
     """Malformed or invalid input: the caller's error, not the library's.
@@ -347,6 +349,15 @@ def _densify(values: Mapping, key=None) -> dict:
     occurrence over the keys sorted by ``key``."""
     ids: dict[object, int] = {}
     return {x: ids.setdefault(values[x], len(ids)) for x in sorted(values, key=key)}
+
+
+def _finish(values: Mapping, bound: Bound, label: str, key=None) -> dict:
+    """The last step of every construction: densify its raw color values
+    (see ``_densify``) and check the color count against its guarantee."""
+    ids = _densify(values, key)
+    if not bound.at_least(len(set(ids.values()))):
+        raise InvariantViolated(f"{label} coloring exceeded its bound")
+    return ids
 
 
 def check_constraints(g: Graph, digraphs: Iterable[DiGraph], sets: Iterable[Iterable[int]]):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .bounds import rtw_bound
-from .graphs import Coloring, DiGraph, InvariantViolated, check_constraints
+from .graphs import Coloring, DiGraph, _finish, check_constraints
 from .graphs import product_coords, strong_product
 from .ktree import KTreeSeq, build_ktree
 from .treewidth import TypeMatrix, _parity_repair, _tw_color
@@ -67,7 +67,5 @@ def color_rtw(
     arcs = arcs if arcs is not None else DiGraph(product.n)
     sets = [frozenset(m) for m in sets]
     check_constraints(product, [arcs], sets)
-    coloring = Coloring.from_values(_rtw_color(h_seq, path_len, arcs, sets))
-    if not rtw_bound(h_seq.k, len(sets)).at_least(coloring.num_colors()):
-        raise InvariantViolated("row-treewidth coloring exceeded its bound")
-    return coloring
+    values = _rtw_color(h_seq, path_len, arcs, sets)
+    return Coloring(_finish(values, rtw_bound(h_seq.k, len(sets)), "row-treewidth"), values)

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bounds import summand_bound, sum_bound
+from .bounds import summand_bound, sum_bound, sum_clique_bound
 from .canon import canonical_key
-from .graphs import Coloring, DiGraph, Graph, InputError, InvariantViolated
-from .graphs import _densify, check_constraints
+from .graphs import Coloring, DiGraph, Graph, InputError
+from .graphs import _finish, check_constraints
 from .graphs import join_with_clique, product_coords, product_vertex, strong_product
 from .ktree import KTreeSeq, build_ktree
 from .rowtw import _rtw_color
@@ -75,10 +75,8 @@ def color_summand(
     arcs = arcs if arcs is not None else DiGraph(f.n)
     sets = [frozenset(m) for m in sets]
     check_constraints(f, [arcs], sets)
-    coloring = Coloring.from_values(_summand_color(h_seq, path_len, t, arcs, sets))
-    if not summand_bound(h_seq.k, t, len(sets)).at_least(coloring.num_colors()):
-        raise InvariantViolated("summand coloring exceeded its bound")
-    return coloring
+    values = _summand_color(h_seq, path_len, t, arcs, sets)
+    return Coloring(_finish(values, summand_bound(h_seq.k, t, len(sets)), "summand"), values)
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,8 @@ def sum_clique_coloring(
     for q in cliques:
         if not s.graph.is_clique(q) or not q:
             raise UntaggedClique(f"{sorted(q)} is not a nonempty clique of the sum")
-    return _densify(_sum_clique_color_raw(s, tag_cliques(s, cliques)), key=sorted)
+    return _finish(_sum_clique_color_raw(s, tag_cliques(s, cliques)),
+                   sum_clique_bound(desc.k, desc.t, desc.w), "sum clique", key=sorted)
 
 
 def _sum_color(
@@ -295,7 +294,5 @@ def color_sum(
     arcs = arcs if arcs is not None else DiGraph(s.graph.n)
     sets = [frozenset(m) for m in sets]
     check_constraints(s.graph, [arcs], sets)
-    coloring = Coloring.from_values(_sum_color(s, arcs, sets))
-    if not sum_bound(desc.k, desc.t, len(sets), desc.w).at_least(coloring.num_colors()):
-        raise InvariantViolated("sum coloring exceeded its bound")
-    return coloring
+    values = _sum_color(s, arcs, sets)
+    return Coloring(_finish(values, sum_bound(desc.k, desc.t, len(sets), desc.w), "sum"), values)

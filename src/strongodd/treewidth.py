@@ -28,7 +28,7 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 from .bounds import tw_bound, tw_clique_bound
 from .canon import canonical_key
 from .graphs import Coloring, DiGraph, Graph, InputError, InputNotSubgraph, InvariantViolated
-from .graphs import _densify, check_constraints
+from .graphs import _finish, check_constraints
 from .ktree import (
     Completion,
     KTreeSeq,
@@ -175,11 +175,9 @@ def _base_sets_coloring(n: int, sets: Sequence[frozenset[int]]) -> dict[int, obj
     Vertices are partitioned by their membership pattern; a pattern class of
     even size splits off its smallest vertex into a second palette color.
     """
-    pattern: dict[int, tuple[int, ...]] = {}
     groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(n):
         j = tuple(i for i, m in enumerate(sets) if v in m)
-        pattern[v] = j
         groups.setdefault(j, []).append(v)
     out: dict[int, object] = {}
     for j, members in groups.items():
@@ -247,10 +245,8 @@ def clique_coloring(seq: KTreeSeq, cliques: Iterable[frozenset[int]]) -> dict[fr
     for q in cliques:
         if len(q) != seq.k + 1 or not g.is_clique(q):
             raise NotAStepClique(f"{sorted(q)} is not a ({seq.k + 1})-clique")
-    out = _densify(_clique_color_raw(seq, g, cliques), key=sorted)
-    if not tw_clique_bound(seq.k).at_least(len(set(out.values()))):
-        raise InvariantViolated("clique coloring exceeded its bound")
-    return out
+    return _finish(_clique_color_raw(seq, g, cliques), tw_clique_bound(seq.k), "clique",
+                   key=sorted)
 
 
 def _tw_color(
@@ -307,7 +303,6 @@ def color_tw(
     digraphs = list(digraphs) or [DiGraph(g.n)]
     sets = [frozenset(m) for m in sets] or [frozenset()]
     check_constraints(g, digraphs, sets)
-    coloring = Coloring.from_values(_tw_color(seq, g, digraphs, sets))
-    if not tw_bound(seq.k, len(digraphs), len(sets)).at_least(coloring.num_colors()):
-        raise InvariantViolated("treewidth coloring exceeded its bound")
-    return coloring
+    values = _tw_color(seq, g, digraphs, sets)
+    return Coloring(_finish(values, tw_bound(seq.k, len(digraphs), len(sets)), "treewidth"),
+                    values)

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from strongodd import cli, treewidth
+from strongodd import cli, graphio, treewidth
 from strongodd.bounds import Bound
 from strongodd.cli import run
+from strongodd.ktree import KTreeSeq
+from strongodd.sums import SumDesc, Summand
 
 
 def invoke(argv, stdin_text=""):
@@ -183,6 +185,44 @@ class TestExitCodes:
         text = payload if isinstance(payload, str) else json.dumps(payload)
         code, _ = invoke(["solve"], text)
         assert code == 2
+
+
+STAR = graphio.ktree_to_json(KTreeSeq.make(1, [(1, [0]), (2, [0])]))
+PATH = Summand(KTreeSeq.make(0, [(0, [])]), 3)
+COLOR_INPUTS = {
+    "tw": {"ktree": STAR},
+    "rtw": {"ktree": STAR, "path_len": 2},
+    "summand": {"ktree": STAR, "path_len": 2, "t": 1},
+    "sum": {"sum": graphio.sumdesc_to_json(SumDesc(1, 0, 0, (PATH, PATH), (((2,), (0,)),)))},
+}
+CONSTRAINTS = {
+    "arcs": {"n": 3, "arcs": [[0, 1], [0, 2]]},
+    "digraphs": [{"n": 3, "arcs": [[0, 1], [0, 2]]}],
+    "sets": [[1, 2]],
+}
+
+
+class TestUnreadConstraints:
+    @pytest.mark.parametrize("algo, field", [
+        ("tw", "arcs"),
+        ("rtw", "digraphs"),
+        ("summand", "digraphs"),
+        ("sum", "digraphs"),
+        ("outerplanar", "arcs"),
+        ("outerplanar", "digraphs"),
+        ("outerplanar", "sets"),
+    ])
+    def test_unread_constraint_field_is_malformed_input(self, algo, field, capsys):
+        if algo == "outerplanar":
+            _, out = invoke(["gen", "--gadget", "outerplanar", "--params", "n=6"])
+            payload = json.loads(out)
+        else:
+            payload = dict(COLOR_INPUTS[algo])
+        assert invoke(["color", "--algo", algo], json.dumps(payload))[0] == 0
+        payload[field] = CONSTRAINTS[field]
+        code, out = invoke(["color", "--algo", algo], json.dumps(payload))
+        assert code == 2 and out == ""
+        assert repr(field) in capsys.readouterr().err
 
 
 class TestLayering:

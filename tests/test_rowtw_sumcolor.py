@@ -26,7 +26,7 @@ from strongodd.sumcolor import (
     tag_cliques,
 )
 from strongodd.sums import SumDesc, Summand, build_sum
-from strongodd.treewidth import InputNotSubgraph, color_tw
+from strongodd.treewidth import InputNotSubgraph, clique_coloring, color_tw
 from strongodd.verify import (
     is_proper,
     is_strong_odd,
@@ -313,7 +313,13 @@ class TestSharedChecks:
 
     @pytest.mark.parametrize("module, bound, call", [
         ("treewidth", "tw_bound", lambda: color_tw(PATH3)),
+        ("rowtw", "rtw_bound", lambda: color_rtw(PATH3, 2)),
+        ("sumcolor", "summand_bound", lambda: color_summand(PATH3, 2, 1)),
         ("sumcolor", "sum_bound", lambda: color_sum(PATH5_SUM)),
+        ("treewidth", "tw_clique_bound",
+         lambda: clique_coloring(PATH3, [PATH3.represented_clique(v) for v in (1, 2)])),
+        ("sumcolor", "sum_clique_bound",
+         lambda: sum_clique_coloring(PATH5_SUM, [frozenset({0, 1}), frozenset({1, 2})])),
     ])
     def test_exceeded_bound_raises(self, monkeypatch, module, bound, call):
         monkeypatch.setattr(f"strongodd.{module}.{bound}", lambda *args: Bound(1))
@@ -324,7 +330,7 @@ class TestSharedChecks:
         code = textwrap.dedent("""
             from strongodd import Graph, InvariantViolated, KTreeSeq, build_ktree, build_sum
             from strongodd import gen_random_maximal_outerplanar, is_proper, is_strong_odd
-            from strongodd import outerplanar, sumcolor, treewidth
+            from strongodd import outerplanar, rowtw, sumcolor, treewidth
             from strongodd.bounds import Bound
             from strongodd.sums import SumDesc, Summand
 
@@ -342,13 +348,25 @@ class TestSharedChecks:
                 raise SystemExit("color_tw output is not proper")
             if not is_proper(build_sum(desc).graph, sumcolor.color_sum(desc)).ok:
                 raise SystemExit("color_sum output is not proper")
-            treewidth.tw_bound = sumcolor.sum_bound = lambda *args: Bound(1)
-            for call in (lambda: treewidth.color_tw(seq), lambda: sumcolor.color_sum(desc)):
+            one = lambda *args: Bound(1)
+            treewidth.tw_bound = treewidth.tw_clique_bound = rowtw.rtw_bound = one
+            sumcolor.summand_bound = sumcolor.sum_bound = sumcolor.sum_clique_bound = one
+            calls = {
+                "color_tw": lambda: treewidth.color_tw(seq),
+                "color_rtw": lambda: rowtw.color_rtw(seq, 2),
+                "color_summand": lambda: sumcolor.color_summand(seq, 2, 1),
+                "color_sum": lambda: sumcolor.color_sum(desc),
+                "clique_coloring": lambda: treewidth.clique_coloring(
+                    seq, [seq.represented_clique(v) for v in (1, 2)]),
+                "sum_clique_coloring": lambda: sumcolor.sum_clique_coloring(
+                    desc, [{0, 1}, {1, 2}]),
+            }
+            for name, call in calls.items():
                 try:
                     call()
                 except InvariantViolated:
                     continue
-                raise SystemExit("exceeded bound went unnoticed")
+                raise SystemExit(f"{name}: exceeded bound went unnoticed")
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
