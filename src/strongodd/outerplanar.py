@@ -11,9 +11,11 @@ vertex, the two stubs of uncolored children plus seven colored neighbors
 form a fixed precolored gadget; a deterministic extension routine colors the
 stubs so the center vertex's masked neighborhood is parity-clean while the
 coloring stays proper and distance-2-clean along the relevant paths.  The
-host is first augmented with two dummy bottom layers and with dummy path
-extensions so that every gadget instance is complete; dummies never carry
-mask edges and are stripped from the result.
+host sits on two dummy bottom layers and is kept as parent pairs and
+distances only.  Validation records each layer path once; where an instance
+needs a longer path or stub than the host has, the planner pads the records
+with fresh ids, colored like vertices but never part of the host.  Dummies
+and padding carry no mask edges and are stripped from the result.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Container, Iterable, Optional
+from itertools import chain, count, islice
+from typing import Container, Iterable, Iterator, Optional
 
 from .graphs import Coloring, Graph, InputError, InvariantViolated
 from .ktree import KTreeSeq
@@ -243,69 +245,35 @@ def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Color
 
 
 class _Host:
-    """Mutable augmented 2-tree: the original host on top of two dummy
-    layers, extended with path and stub padding as instances require.
+    """The original host on top of two dummy layers, kept as each vertex's
+    parent pair and distance.  Every edge joins a vertex to one of its
+    parents, so vertices a < b are adjacent iff ``a in parents[b]``.
 
     Original vertex v is vertex v + OFFSET here, and its BFS layer d (see
     ``ktree.bfs_layering``) is the set of vertices at distance d + 3.
+    Padding never enters the host; it lives in the planner's path records.
     """
 
     OFFSET = 5  # dummy ids 0..4: bottom edge a,b; middle path d,v*,e
 
     def __init__(self, seq: KTreeSeq):
-        self.parents: list[Optional[tuple[int, int]]] = [None, None]
-        self.adj: list[set[int]] = [{1}, {0}]
-        self.dist: list[int] = [1, 1]
-        self.childs: dict[tuple[int, int], list[int]] = {}
-        self.attach(0, 1)          # 2 = middle shared
-        self.attach(0, 2)          # 3 = middle x-side
-        self.attach(1, 2)          # 4 = middle y-side
-        self.attach(2, 3)          # 5 = original initial vertex 0
-        self.attach(2, 5)          # 6 = original initial vertex 1
+        # 1's parent is 0 (the bottom edge); 2 = middle shared, 3 = middle
+        # x-side, 4 = middle y-side; 5, 6 = original initial vertices 0, 1.
+        self.parents: list[tuple[int, ...]] = [(), (0,), (0, 1), (0, 2), (1, 2), (2, 3), (2, 5)]
+        self.dist: list[int] = [1, 1, 2, 2, 2, 3, 3]
+        parents, dist = self.parents, self.dist
         off = self.OFFSET
         for _, (a, b) in seq.steps:
-            self.attach(a + off, b + off)
-
-    def attach(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        adj = self.adj
-        if b not in adj[a]:
-            raise NotOuterplanarWitness(f"attachment pair ({a},{b}) is not an edge")
-        v = len(adj)
-        adj.append({a, b})
-        adj[a].add(v)
-        adj[b].add(v)
-        self.parents.append(key)
-        dist = self.dist
-        da, db = dist[a], dist[b]
-        dist.append(1 + (da if da < db else db))
-        kids = self.childs.get(key)
-        if kids is None:
-            self.childs[key] = [v]
-        else:
-            kids.append(v)
-        return v
-
-    def children_of(self, a: int, b: int) -> list[int]:
-        return self.childs.get((a, b) if a < b else (b, a), [])
-
-    def chain(self, start: int, anchor: int) -> list[int]:
-        """Successive children of (current, anchor) starting at ``start``."""
-        out = []
-        cur = start
-        while True:
-            kids = self.children_of(cur, anchor)
-            if len(kids) > 1:
-                raise InvariantViolated("branching chain; host is not simple")
-            if not kids:
-                return out
-            cur = kids[0]
-            out.append(cur)
+            a, b = (a + off, b + off) if a < b else (b + off, a + off)
+            if a not in parents[b]:
+                raise NotOuterplanarWitness(f"attachment pair ({a},{b}) is not an edge")
+            parents.append((a, b))
+            da, db = dist[a], dist[b]
+            dist.append(1 + (da if da < db else db))
 
     def layers(self) -> list[list[int]]:
         """Vertices by distance, distance 1 first, each in increasing order."""
-        top = max(self.dist)
-        out: list[list[int]] = [[] for _ in range(top)]
+        out: list[list[int]] = [[] for _ in range(max(self.dist))]
         for v, dv in enumerate(self.dist):
             out[dv - 1].append(v)
         return out
@@ -313,6 +281,11 @@ class _Host:
 
 # ---------------------------------------------------------------------------
 # Structure validation of the witness sequence, read off the augmented host.
+#
+# Each layer path is recorded by its anchor edge (x, y), x < y, the edge of
+# the layer below that it hangs from: (shared, x-side, y-side), where the
+# shared vertex is adjacent to x and y, and each side is the subpath
+# anchored at that end, read outward from the shared vertex.
 
 
 def _original(vs: Iterable[int]) -> list[int]:
@@ -320,28 +293,16 @@ def _original(vs: Iterable[int]) -> list[int]:
     return [v - _Host.OFFSET for v in vs]
 
 
-def _layer_paths(host: _Host, layer: list[int]):
+def _layer_paths(layer: list[int], inside: list[list[int]]) -> list[list[int]]:
     """Split one layer of the host into its paths, ordered by least vertex
-    and read from the lesser end, and give each layer vertex its neighbours
-    in the layer below.  Raise if a component is not a path; of several
-    vertices with more than two neighbours in the layer, the least is named."""
-    adj, dist = host.adj, host.dist
-    d = dist[layer[0]]
-    inside: dict[int, list[int]] = {}
-    below: dict[int, list[int]] = {}
+    and read from the lesser end; ``inside`` holds each vertex's neighbours
+    in its layer.  Raise if a component is not a path; of several vertices
+    with more than two neighbours in the layer, the least is named."""
     for v in layer:
-        same, down = [], []
-        for w in adj[v]:
-            if dist[w] == d:
-                same.append(w)
-            elif dist[w] == d - 1:
-                down.append(w)
-        if len(same) > 2:
+        if len(inside[v]) > 2:
             raise NotOuterplanarWitness(
-                f"layer vertex {v - _Host.OFFSET} has {len(same)} in-layer neighbors"
+                f"layer vertex {v - _Host.OFFSET} has {len(inside[v])} in-layer neighbors"
             )
-        inside[v] = same
-        below[v] = down
     # Walk each path from its lesser end; a vertex no walk reaches has two
     # neighbours in the layer, as has all of its component: a cycle.
     paths = []
@@ -349,13 +310,16 @@ def _layer_paths(host: _Host, layer: list[int]):
     for end in layer:
         if end in on_path or len(inside[end]) == 2:
             continue
-        path, prev = [end], None
+        path, prev, cur = [end], None, end
         while True:
-            nxt = [w for w in inside[path[-1]] if w != prev]
-            if not nxt:
+            nb = inside[cur]
+            if len(nb) == 2:
+                cur, prev = (nb[1] if nb[0] == prev else nb[0]), cur
+            elif nb and nb[0] != prev:
+                cur, prev = nb[0], cur
+            else:
                 break
-            prev = path[-1]
-            path.append(nxt[0])
+            path.append(cur)
         on_path.update(path)
         paths.append(path)
     if len(on_path) < len(layer):
@@ -370,49 +334,72 @@ def _layer_paths(host: _Host, layer: list[int]):
             f"layer component {_original(sorted(cycle))} is not a path"
         )
     paths.sort(key=min)
-    return paths, below
+    return paths
 
 
-def validate_outerplanar_structure(seq: KTreeSeq) -> _Host:
+_Paths = dict[tuple[int, int], tuple[int, list[int], list[int]]]
+
+
+def validate_outerplanar_structure(seq: KTreeSeq) -> tuple[_Host, _Paths]:
     """Check the path-layer structure the coloring relies on; return the
-    augmented host the check read, which ``color_outerplanar`` goes on to
-    pad and color."""
+    augmented host the check read and its path records, bottom layer first,
+    which ``color_outerplanar`` goes on to pad and color."""
     if seq.k != 2:
         raise NotOuterplanarWitness("witness must be a 2-tree sequence")
     host = _Host(seq)
+    parents, dist = host.parents, host.dist
+    # A parent lies one layer below its child or in the child's layer.
+    inside: list[list[int]] = [[] for _ in dist]
+    below: list[tuple[int, ...]] = [()] * len(dist)
+    for v in range(2, len(dist)):
+        a, b = parents[v]
+        dv = dist[v]
+        if dist[a] == dv:
+            inside[a].append(v)
+            inside[v].append(a)
+            below[v] = (b,)
+        elif dist[b] == dv:
+            inside[b].append(v)
+            inside[v].append(b)
+            below[v] = (a,)
+        else:
+            below[v] = (a, b)
     layers = host.layers()[2:]  # the original BFS layers
     first = layers[0]
-    if len(first) != 2 or first[1] not in host.adj[first[0]]:
+    if len(first) != 2 or first[0] not in parents[first[1]]:
         raise NotOuterplanarWitness("first layer is not an edge")
-    claimed_edges = set()
+    # The middle path and the first layer, as the dummy steps built them.
+    paths: _Paths = {(0, 1): (2, [3], [4]), (2, 3): (5, [6], [])}
     for layer in layers[1:]:
-        paths, below = _layer_paths(host, layer)
-        for path in paths:
-            anchors = sorted({a for v in path for a in below[v]})
-            if len(anchors) != 2 or anchors[1] not in host.adj[anchors[0]]:
+        for path in _layer_paths(layer, inside):
+            down = [below[v] for v in path]
+            anchors = sorted(set().union(*down))
+            shared = [v for v, d in zip(path, down) if len(d) == 2]
+            if len(anchors) != 2 or anchors[0] not in parents[anchors[1]]:
                 raise NotOuterplanarWitness(
                     f"path {_original(path)} hangs below {_original(anchors)}, not an edge"
                 )
-            edge = tuple(anchors)
-            if edge in claimed_edges:
+            edge = x, y = tuple(anchors)
+            if edge in paths:
                 raise NotOuterplanarWitness(
                     f"edge {_original(anchors)} carries two layer paths"
                 )
-            claimed_edges.add(edge)
-            shared = [v for v in path if len(below[v]) == 2]
             if len(shared) != 1:
                 raise NotOuterplanarWitness(
                     f"path {_original(path)} has {len(shared)} vertices with two neighbors below"
                 )
-            if any(not below[v] for v in path):
+            if () in down:
                 raise NotOuterplanarWitness(f"path {_original(path)} has a floating vertex")
             # One side is all-x, the other all-y (either orientation).
             s = path.index(shared[0])
-            la = {below[v][0] for v in path[:s]}
-            ra = {below[v][0] for v in path[s + 1:]}
+            left, right = path[s - 1::-1] if s else [], path[s + 1:]
+            la = {below[v][0] for v in left}
+            ra = {below[v][0] for v in right}
             if len(la) > 1 or len(ra) > 1 or (la and la == ra):
                 raise NotOuterplanarWitness(f"path {_original(path)} mixes its two subpaths")
-    return host
+            paths[edge] = (shared[0], left, right) if x in la or y in ra else \
+                (shared[0], right, left)
+    return host, paths
 
 
 # ---------------------------------------------------------------------------
@@ -432,131 +419,85 @@ class _Instance:
     w_ext: list[int]
 
 
-def _plan_path(host: _Host, shared: int, x: int, y: int) -> Optional[list[_Instance]]:
-    """Plan the sweep over one layer path, padding as needed.
+def _pad(side: list[int], length: int, fresh: Iterator[int]) -> None:
+    """Extend a path record's side to ``length`` with fresh padding ids."""
+    if len(side) < length:
+        side.extend(islice(fresh, length - len(side)))
 
-    Returns the instance list in processing order (0, +1.., then -1..), or
-    None when no vertex of the path has children to color.
+
+def _plan_path(x: int, y: int, paths: _Paths, fresh: Iterator[int]) -> Optional[list[_Instance]]:
+    """Plan the sweep over the layer path anchored at (x, y), padding its
+    record and the records of its child paths as needed.
+
+    Position 0 is the shared vertex, positions -1, -2.. its x-side and
+    +1, +2.. its y-side.  Returns the instance list in processing order
+    (0, +1.., then -1..), or None when no vertex of the path has children
+    to color.
     """
-    left = host.chain(shared, x)   # negative side, outward
-    right = host.chain(shared, y)  # positive side, outward
-
-    def path_at(t: int) -> Optional[int]:
-        if t == 0:
-            return shared
-        if t > 0:
-            return right[t - 1] if t - 1 < len(right) else None
-        return left[-t - 1] if -t - 1 < len(left) else None
-
-    def edge_at(t: int) -> Optional[tuple[int, int]]:
-        a, b = path_at(t), path_at(t + 1)
-        return None if a is None or b is None else (a, b)
-
-    # One (shared child, t-side, (t+1)-side) entry per edge (p_t, p_{t+1}),
-    # walked once; stub padding grows the entry in place.
-    stubs: dict[int, tuple[Optional[int], list[int], list[int]]] = {}
-
-    def stub(t: int) -> tuple[Optional[int], list[int], list[int]]:
-        """Child path of edge (p_t, p_{t+1}): shared child, t-side, (t+1)-side."""
-        entry = stubs.get(t)
-        if entry is not None:
-            return entry
-        e = edge_at(t)
-        if e is None:
-            return None, [], []  # not cached: path padding may add the edge
-        kids = host.children_of(*e)
-        if len(kids) > 1:
-            raise InvariantViolated("two shared children on one edge")
-        if kids:
-            s = kids[0]
-            entry = s, host.chain(s, e[0]), host.chain(s, e[1])
-        else:
-            entry = None, [], []
-        stubs[t] = entry
-        return entry
-
-    # Responsibilities: the shared child and near side of edge (t, t+1) go to
-    # the instance closer to position 0, the far side to the other one.
-    lo = -len(left)
-    hi = len(right)
-    resp: dict[int, int] = {}
-    for t in range(lo, hi):
-        s, near_t, near_t1 = stub(t)
-        count = (0 if s is None else 1) + len(near_t) + len(near_t1)
-        if count == 0:
+    shared, left, right = paths[x, y]
+    pos = left[::-1] + [shared] + right
+    base = len(left)  # index of position 0 in pos
+    # Child path of edge (p_t, p_{t+1}) by t: shared child, t-side,
+    # (t+1)-side.  Its shared child and near side go to the instance closer
+    # to position 0, its far side, if any, to the other one; the outermost
+    # instances so given work bound the sweep.
+    stubs: dict[int, tuple[int, list[int], list[int]]] = {}
+    t_min = t_max = 0
+    for k in range(len(pos) - 1):
+        a, b = pos[k], pos[k + 1]
+        child = paths.get((a, b) if a < b else (b, a))
+        if child is None:
             continue
-        closer, farther = (t, t + 1) if t >= 0 else (t + 1, t)
-        closer_side = near_t if closer == t else near_t1
-        farther_side = near_t1 if closer == t else near_t
-        if s is not None or closer_side:
-            resp[closer] = resp.get(closer, 0) + 1 + len(closer_side)
-        if farther_side:
-            resp[farther] = resp.get(farther, 0) + len(farther_side)
-    if not resp:
+        s, cx, cy = child
+        near, far = (cx, cy) if a < b else (cy, cx)
+        t = k - base
+        stubs[t] = (s, near, far)
+        if t >= 0:
+            t_max = max(t_max, t + 1 if far else t)
+        else:
+            t_min = min(t_min, t if near else t + 1)
+    if not stubs:
         return None
-    t_min = min(min(resp), 0)
-    t_max = max(max(resp), 0)
 
-    # Path padding: two vertices beyond each processed end.
-    while len(right) < t_max + 2:
-        end = right[-1] if right else shared
-        right.append(host.attach(end, y))
-    while len(left) < -t_min + 2:
-        end = left[-1] if left else shared
-        left.append(host.attach(end, x))
+    # Path padding: two positions beyond each processed end.
+    _pad(left, -t_min + 2, fresh)
+    _pad(right, t_max + 2, fresh)
+    pos = left[::-1] + [shared] + right
+    base = len(left)
 
-    def grown_stub(t: int, need_near: int, need_far: int):
-        e = edge_at(t)
-        if e is None:
+    # Stub padding: each instance needs both its stubs at least two long
+    # (shared child included) and its u1 from the stub on its inner edge.
+    for t in range(t_min - 1, t_max + 1):
+        if not (0 <= base + t and base + t + 1 < len(pos)):
             raise InvariantViolated(f"path padding left no edge at position {t}")
-        s, near, far = stub(t)
-        if s is None:
-            s = host.attach(*e)
-            near, far = [], []
-            stubs[t] = s, near, far
-        while len(near) < need_near:
-            near.append(host.attach(near[-1] if near else s, e[0]))
-        while len(far) < need_far:
-            far.append(host.attach(far[-1] if far else s, e[1]))
-
-    # Stub padding per instance, then assemble.
-    for t in range(0, t_max + 1):
-        grown_stub(t, 1, 2 if t + 1 <= t_max else 0)
-    grown_stub(-1, 0, 1)  # edge (-1, 0): shared + one on the 0 side
-    for t in range(-1, t_min - 1, -1):
-        grown_stub(t, 2, 1)      # u-ext on the t side, anchor on the t+1 side
-        grown_stub(t - 1, 0, 1)  # w-ext: shared + one on the t side
+        if t not in stubs:
+            stubs[t] = (next(fresh), [], [])
+        _, near, far = stubs[t]
+        _pad(near, 1 if t >= 0 else 2 if t >= t_min else 0, fresh)
+        _pad(far, (2 if t < t_max else 0) if t >= 0 else 1, fresh)
 
     instances = []
-    for t in list(range(0, t_max + 1)) + list(range(-1, t_min - 1, -1)):
+    for t in chain(range(t_max + 1), range(-1, t_min - 1, -1)):
+        c = base + t
+        if c < 2 or c + 2 >= len(pos):
+            raise InvariantViolated("path padding failed")
         if t == 0:
-            s_l, near_l, far_l = stub(-1)   # edge (p_-1, p_0)
-            s_r, near_r, far_r = stub(0)    # edge (p_0, p_1)
-            inst = _Instance(
-                center=shared, x=x, y=y,
-                u1=path_at(-2), u2=path_at(-1), w2=path_at(1), w1=path_at(2),
-                u_ext=[s_l] + far_l, w_ext=[s_r] + near_r,
-            )
+            s_l, _, far_l = stubs[-1]   # edge (p_-1, p_0)
+            s_r, near_r, _ = stubs[0]   # edge (p_0, p_1)
+            inst = _Instance(shared, x, y, pos[c - 2], pos[c - 1], pos[c + 1], pos[c + 2],
+                             [s_l] + far_l, [s_r] + near_r)
         elif t > 0:
-            s_l, near_l, far_l = stub(t - 1)
-            s_r, near_r, far_r = stub(t)
-            inst = _Instance(
-                center=path_at(t), x=path_at(t - 1), y=y,
-                u1=near_l[0], u2=s_l, w2=path_at(t + 1), w1=path_at(t + 2),
-                u_ext=list(far_l), w_ext=[s_r] + near_r,
-            )
+            s_l, near_l, far_l = stubs[t - 1]
+            s_r, near_r, _ = stubs[t]
+            inst = _Instance(pos[c], pos[c - 1], y, near_l[0], s_l, pos[c + 1], pos[c + 2],
+                             far_l, [s_r] + near_r)
         else:
-            s_r, near_r, far_r = stub(t)      # edge (p_t, p_{t+1})
-            s_l, near_l, far_l = stub(t - 1)  # edge (p_{t-1}, p_t)
-            inst = _Instance(
-                center=path_at(t), x=path_at(t + 1), y=x,
-                u1=far_r[0], u2=s_r, w2=path_at(t - 1), w1=path_at(t - 2),
-                u_ext=list(near_r), w_ext=[s_l] + far_l,
-            )
+            s_r, near_r, far_r = stubs[t]    # edge (p_t, p_{t+1})
+            s_l, _, far_l = stubs[t - 1]     # edge (p_{t-1}, p_t)
+            inst = _Instance(pos[c], pos[c + 1], x, far_r[0], s_r, pos[c - 1], pos[c - 2],
+                             near_r, [s_l] + far_l)
         if len(inst.u_ext) < 2 or len(inst.w_ext) < 2:
             raise InvariantViolated("stub padding failed")
-        if None in (inst.u1, inst.u2, inst.w2, inst.w1):
-            raise InvariantViolated("path padding failed")
         instances.append(inst)
     return instances
 
@@ -565,59 +506,42 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
     """8-coloring of the host whose restriction to the masked subgraph is
     strong odd.  ``mask`` is the subgraph's edge set (or a Graph on the host's
     vertices with a subset of its edges)."""
-    host = validate_outerplanar_structure(seq)
+    host, paths = validate_outerplanar_structure(seq)
+    n = seq.n
     if isinstance(mask, Graph):
-        if mask.n != seq.n:
+        if mask.n != n:
             raise NotOuterplanarWitness("mask graph has a different vertex count")
         mask_edges = mask.edges
     else:
         mask_edges = frozenset(tuple(sorted(e)) for e in mask)
-    # Masked neighbours per host vertex; dummies carry no mask edges.
+    # Masked neighbours per host vertex; dummies and padding carry no mask
+    # edges.  Each pair is sorted, u <= v.
     off = _Host.OFFSET
+    parents = host.parents
     masked: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in mask_edges:
-        if not (0 <= u < seq.n and 0 <= v < seq.n and v + off in host.adj[u + off]):
+        if not (0 <= u and v < n and u + off in parents[v + off]):
             raise NotOuterplanarWitness(f"mask edge ({u},{v}) is not a host edge")
         masked[u + off].add(v + off)
         masked[v + off].add(u + off)
 
-    # Plan instances layer by layer, top down, so padding at one layer is
-    # visible to the spans of the layer below before its plan is drawn.
-    # Padding while planning layer idx adds vertices only at layers idx and
-    # idx + 1, so the membership of the layers below can be read up front.
-    plans: dict[int, list[_Instance]] = {}
-    layers = host.layers()
-    parents, dist = host.parents, host.dist
-    for idx in range(len(layers) - 1, 0, -1):
-        plan = []
-        shareds = []
-        for v in layers[idx]:
-            a, b = parents[v]
-            if dist[a] == dist[b] == idx:
-                shareds.append((v, a, b))
-        for v, a, b in shareds:
-            x, y = (a, b) if a < b else (b, a)
-            instances = _plan_path(host, v, x, y)
-            if instances:
-                plan.extend(instances)
-        if plan:
-            plans[idx] = plan
+    # Plan the paths top down, so that padding of a path is in its record
+    # before the layer below reads it as stubs; color bottom up.
+    fresh = count(len(parents))
+    plans = [_plan_path(x, y, paths, fresh) for x, y in reversed(paths)]
 
     psi: dict[int, int] = {0: 1, 1: 2}
     # Middle layer: 3,4,5 repeated along the (possibly padded) path.
-    middle = host.chain(2, 0)[::-1] + [2] + host.chain(2, 1)
-    for pos, v in enumerate(middle):
-        psi[v] = 3 + pos % 3
+    shared, left, right = paths[0, 1]
+    for p, v in enumerate(left[::-1] + [shared] + right):
+        psi[v] = 3 + p % 3
 
     unmasked: frozenset[int] = frozenset()
-    for idx in sorted(plans):
-        for inst in plans[idx]:
+    for plan in reversed(plans):
+        for inst in plan or ():
             _apply_instance(inst, psi, masked.get(inst.center, unmasked))
 
-    out = {}
-    for v in range(seq.n):
-        out[v] = psi[v + off]
-    return Coloring(out)
+    return Coloring({v: psi[v + off] for v in range(n)})
 
 
 @lru_cache(maxsize=None)

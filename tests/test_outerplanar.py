@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import product
 from pathlib import Path
 
@@ -170,6 +174,28 @@ class TestExtensionSearch:
         assert is_strong_odd(mask, c).ok
 
 
+# Structure rejections, (k, steps, message); the same cases run under -O.
+REJECTIONS = {
+    "wrong_k": (1, [(1, [0])], "witness must be a 2-tree sequence"),
+    # Two vertices attached to the same edge from the same side produce a
+    # branching layer.
+    "nonsimple_two_tree": (2, [(2, [0, 1]), (3, [0, 2]), (4, [0, 2])],
+                           "path [3, 2, 4] mixes its two subpaths"),
+    # Both sides of the initial edge used: two layer paths on one edge.
+    "double_path_on_one_edge": (2, [(2, [0, 1]), (3, [0, 1])],
+                                "edge [0, 1] carries two layer paths"),
+    "layer_vertex_of_degree_three": (2, [(2, [0, 1]), (3, [0, 2]), (4, [1, 2]), (5, [0, 2])],
+                                     "layer vertex 2 has 3 in-layer neighbors"),
+}
+
+
+def _check_rejection(name):
+    k, steps, message = REJECTIONS[name]
+    with pytest.raises(NotOuterplanarWitness) as err:
+        validate_outerplanar_structure(KTreeSeq.make(k, steps))
+    assert str(err.value) == message
+
+
 class TestStructureValidation:
     def test_accepts_generated_hosts(self):
         for seed in range(30):
@@ -178,30 +204,40 @@ class TestStructureValidation:
 
     # Messages name the caller's vertex ids.
     def test_rejects_wrong_k(self):
-        with pytest.raises(NotOuterplanarWitness) as err:
-            validate_outerplanar_structure(KTreeSeq.make(1, [(1, [0])]))
-        assert str(err.value) == "witness must be a 2-tree sequence"
+        _check_rejection("wrong_k")
 
     def test_rejects_nonsimple_two_tree(self):
-        # Two vertices attached to the same edge from the same side produce a
-        # branching layer.
-        seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2]), (4, [0, 2])])
-        with pytest.raises(NotOuterplanarWitness) as err:
-            validate_outerplanar_structure(seq)
-        assert str(err.value) == "path [3, 2, 4] mixes its two subpaths"
+        _check_rejection("nonsimple_two_tree")
 
     def test_rejects_double_path_on_one_edge(self):
-        # Both sides of the initial edge used: two layer paths on one edge.
-        seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 1])])
-        with pytest.raises(NotOuterplanarWitness) as err:
-            validate_outerplanar_structure(seq)
-        assert str(err.value) == "edge [0, 1] carries two layer paths"
+        _check_rejection("double_path_on_one_edge")
 
     def test_rejects_layer_vertex_of_degree_three(self):
-        seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2]), (4, [1, 2]), (5, [0, 2])])
-        with pytest.raises(NotOuterplanarWitness) as err:
-            validate_outerplanar_structure(seq)
-        assert str(err.value) == "layer vertex 2 has 3 in-layer neighbors"
+        _check_rejection("layer_vertex_of_degree_three")
+
+    def test_rejections_survive_optimize_flag(self):
+        code = textwrap.dedent(f"""
+            from strongodd.ktree import KTreeSeq
+            from strongodd.outerplanar import NotOuterplanarWitness
+            from strongodd.outerplanar import validate_outerplanar_structure
+
+            if __debug__:
+                raise SystemExit("not running under -O")
+            for name, (k, steps, message) in {REJECTIONS!r}.items():
+                try:
+                    validate_outerplanar_structure(KTreeSeq.make(k, steps))
+                except NotOuterplanarWitness as err:
+                    if str(err) != message:
+                        raise SystemExit(f"{{name}}: {{err}}")
+                else:
+                    raise SystemExit(f"{{name}}: accepted under -O")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_mask_edge_named_in_caller_ids(self):
         seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2])])
@@ -211,21 +247,98 @@ class TestStructureValidation:
         with pytest.raises(NotOuterplanarWitness):
             color_outerplanar(seq, [(-1, 0)])  # would be a dummy of the augmented host
 
+    @pytest.mark.parametrize("edge, named", [
+        ((3, 3), "(3,3)"),  # a self-loop
+        ((4, 3), "(3,4)"),  # both in layer 1, not adjacent; named as sorted
+        ((2, 5), "(2,5)"),  # ids 5 and 6 are past the last vertex, 4
+        ((5, 6), "(5,6)"),
+    ])
+    def test_mask_edge_outside_the_host(self, edge, named):
+        # Layer 1 is the path 3-2-4 below the edge (0,1).
+        seq = KTreeSeq.make(2, [(2, [0, 1]), (3, [0, 2]), (4, [1, 2])])
+        with pytest.raises(NotOuterplanarWitness) as err:
+            color_outerplanar(seq, [(0, 1), edge])
+        assert str(err.value) == f"mask edge {named} is not a host edge"
+
+
+def _fuzz_two_tree(n, rng, stray, reuse):
+    """A 2-tree grown side by side like a maximal outerplanar host, except
+    that with probability ``stray`` a step attaches to any edge and with
+    probability ``reuse`` to a side already used; many such trees are not
+    outerplanar."""
+    sides = [(0, 1)]
+    edges = [(0, 1)]
+    steps = []
+    for v in range(2, n):
+        r = rng.random()
+        if r < stray:
+            a, b = rng.choice(edges)
+        elif r < stray + reuse:
+            a, b = rng.choice(sides)
+        else:
+            a, b = sides.pop(rng.randrange(len(sides)))
+        steps.append((v, (a, b)))
+        edges += [(a, v), (b, v)]
+        sides += [(a, v), (v, b)]
+    return KTreeSeq.make(2, steps)
+
+
+FUZZ_DIGEST = "e45bf7d943b11fe3c31847348805a77180b788d42b3ef09c67a3443048ce6bad"
+
+
+def fuzz_corpus():
+    """(seq, mask) pairs: maximal outerplanar hosts and fuzzed 2-trees, each
+    with a random mask, some with a stray pair that may be no host edge."""
+    rng = random.Random(12)
+    for _ in range(400):
+        n = rng.randrange(3, 48)
+        if rng.random() < 0.3:
+            seq = gen_random_maximal_outerplanar(n, seed=rng.randrange(1 << 30))
+        else:
+            seq = _fuzz_two_tree(n, rng, rng.choice((0, 0.02, 0.1, 1)), rng.choice((0, 0.02, 0.1)))
+        keep = rng.choice(PIN_KEEP)
+        mask = [e for e in build_ktree(seq).edge_list() if rng.random() < keep]
+        if rng.random() < 0.15:
+            mask.append((rng.randrange(-2, n + 2), rng.randrange(-2, n + 2)))
+        elif rng.random() < 0.5:
+            mask = Graph(n, mask)
+        yield seq, mask
+
+
+class TestValidationFuzz:
+    def test_outcomes_match_pin(self):
+        """Digest recorded from an earlier implementation of the driver: for
+        every fuzzed input, the same acceptance or the same exception type
+        and message, and the same coloring."""
+        h = hashlib.sha256()
+        for case, (seq, mask) in enumerate(fuzz_corpus()):
+            try:
+                c = color_outerplanar(seq, mask)
+            except Exception as e:
+                out = f"{type(e).__name__}: {e}"
+            else:
+                out = "ok " + ",".join(str(c.of(v)) for v in range(seq.n))
+            h.update(f"{case}:{out}\n".encode())
+        assert h.hexdigest() == FUZZ_DIGEST
+
 
 # Hosts and masks whose colorings are pinned in data/outerplanar_colorings.json.
 PIN_SIZES = (3, 4, 5, 7, 10, 30, 100, 300, 1000, 3000)
 PIN_KEEP = (0.0, 0.3, 0.6, 1.0)
+# Hosts of the benchmark's size, under its least and its greatest keep rate.
+PIN_LARGE = ((16000, 0.3), (16000, 1.0))
 
 
 def pinned_corpus():
     """(name, seq, mask) for every pinned case: random maximal outerplanar
-    hosts under four mask keep rates, plus a 2,000-vertex fan."""
-    for n in PIN_SIZES:
+    hosts under four mask keep rates, two at benchmark scale, plus a
+    2,000-vertex fan."""
+    cases = [(n, keep) for n in PIN_SIZES for keep in PIN_KEEP] + list(PIN_LARGE)
+    for n, keep in cases:
         seq = gen_random_maximal_outerplanar(n, seed=n)
         edges = build_ktree(seq).edge_list()
-        for keep in PIN_KEEP:
-            rng = random.Random(n * 100 + round(keep * 10))
-            yield f"n{n}_keep{keep}", seq, Graph(n, [e for e in edges if rng.random() < keep])
+        rng = random.Random(n * 100 + round(keep * 10))
+        yield f"n{n}_keep{keep}", seq, Graph(n, [e for e in edges if rng.random() < keep])
     n = 2000
     seq = KTreeSeq.make(2, [(k, (0, k - 1)) for k in range(2, n)])
     rng = random.Random(n)
@@ -244,7 +357,7 @@ class TestPinnedColorings:
         pins = json.loads((Path(__file__).parent / "data" / "outerplanar_colorings.json").read_text())
         got = {name: coloring_digest(color_outerplanar(seq, mask), seq.n)
                for name, seq, mask in pinned_corpus()}
-        assert len(got) == 41
+        assert len(got) == 43
         assert got == pins
 
 
