@@ -10,7 +10,9 @@ cost is its deficit, the sum over present colors of the fewest extra
 members that bring the color's count to an allowed residue; one member
 lowers the deficit by at most one.  An odd scope is dead once it is fully
 colored with no odd count.  Cutting only dead subtrees leaves the branching
-order, and so the first witness found, unchanged.
+order, and so the first witness found, unchanged.  A color is checked
+against every scope of its vertex before it is committed, and the search
+keeps its own stack, so it has no recursion-depth limit.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ class _Engine:
     """Feasibility search over fixed scopes, one color count per ``run``.
 
     The branching order and the scope membership are set up once; ``nodes``
-    counts ``_extend`` entries over every run, against one ``node_limit``.
+    counts depth entries over every run, against one ``node_limit``.  ``run``
+    keeps its own stack, so it has no recursion-depth limit, and checks each
+    color against every scope of its vertex before it commits the color.
     """
 
     def __init__(
@@ -124,7 +128,12 @@ class _Engine:
         self.nodes = 0
         self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         pos = {v: i for i, v in enumerate(self.order)}
-        self.adj = [sorted(g.neighbors(v)) for v in range(g.n)]
+        # Only earlier neighbours: the later ones are uncolored when v is tried.
+        self.adj: list[frozenset[int]] = [frozenset()] * g.n
+        earlier: set[int] = set()
+        for v in self.order:
+            self.adj[v] = g.neighbors(v) & earlier
+            earlier.add(v)
         rules = list(dict.fromkeys(s for s in rule_scopes if s))
         odds = list(dict.fromkeys(s for s in odd_scopes if s))
         self.n_rule, self.n_odd = len(rules), len(odds)
@@ -133,72 +142,86 @@ class _Engine:
         self.odd_of = _membership(odds, pos, g.n)
 
     def run(self, t: int) -> Optional[dict[int, int]]:
-        n = self.n
-        self.t = t
-        self.color = [-1] * n
+        n, order, adj, proper = self.n, self.order, self.adj, self.proper
+        rule_of, odd_of, step = self.rule_of, self.odd_of, self.step
+        node_limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
+        if not n:
+            return {}
+        color = [-1] * n
+        color_of = color.__getitem__
         # counts[c][s]: members of rule scope s colored c; deficit[s]: its
         # repair cost (module docstring); odd[s]: colors with an odd count
         # in odd scope s
-        self.counts = [[0] * self.n_rule for _ in range(t)]
-        self.deficit = [0] * self.n_rule
-        self.odd_counts = [[0] * self.n_odd for _ in range(t)]
-        self.odd = [0] * self.n_odd
-        if not self._extend(0, 0):
-            return None
-        return {v: self.color[v] for v in range(n)}
-
-    def _assign(self, v: int, c: int) -> bool:
-        """Color v with c; False if some scope of v can no longer be met."""
-        self.color[v] = c
-        ok = True
-        counts, deficit, step = self.counts[c], self.deficit, self.step
-        for s, left in self.rule_of[v]:
-            k = counts[s]
-            counts[s] = k + 1
-            d = deficit[s] + step[k]
-            deficit[s] = d
-            if d > left:
-                ok = False
-        counts, odd = self.odd_counts[c], self.odd
-        for s, left in self.odd_of[v]:
-            k = counts[s]
-            counts[s] = k + 1
-            odd[s] += -1 if k & 1 else 1
-            if not left and not odd[s]:
-                ok = False
-        return ok
-
-    def _unassign(self, v: int, c: int) -> None:
-        self.color[v] = -1
-        counts, deficit, step = self.counts[c], self.deficit, self.step
-        for s, _ in self.rule_of[v]:
-            k = counts[s] - 1
-            counts[s] = k
-            deficit[s] -= step[k]
-        counts, odd = self.odd_counts[c], self.odd
-        for s, _ in self.odd_of[v]:
-            k = counts[s] - 1
-            counts[s] = k
-            odd[s] -= -1 if k & 1 else 1
-
-    def _extend(self, idx: int, used: int) -> bool:
-        if idx == self.n:
-            return True
-        v = self.order[idx]
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise _Stop
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
-            raise _Stop
-        limit = min(used + 1, self.t)
-        forbidden = {self.color[u] for u in self.adj[v]} if self.proper else ()
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            if self._assign(v, c) and self._extend(idx + 1, max(used, c + 1)):
-                return True
-            self._unassign(v, c)
-        return False
+        counts = [[0] * self.n_rule for _ in range(t)]
+        deficit = [0] * self.n_rule
+        odd_counts = [[0] * self.n_odd for _ in range(t)]
+        odd = [0] * self.n_odd
+        # Per depth: the colors used above it and those its earlier neighbours
+        # hold.  Its vertex keeps the last color tried there, -1 on entry.
+        used = [0] * n
+        forbidden: list = [()] * n
+        idx = 0
+        try:
+            while True:
+                v = order[idx]
+                c = color[v]
+                rules, odds = rule_of[v], odd_of[v]
+                if c < 0:
+                    nodes += 1
+                    if nodes > node_limit or nodes % 4096 == 0 and time.monotonic() > deadline:
+                        raise _Stop
+                    if proper:
+                        forbidden[idx] = {*map(color_of, adj[v])}
+                else:
+                    color[v] = -1
+                    cnt = counts[c]
+                    for s, _ in rules:
+                        k = cnt[s] - 1
+                        cnt[s] = k
+                        deficit[s] -= step[k]
+                    cnt = odd_counts[c]
+                    for s, _ in odds:
+                        k = cnt[s] - 1
+                        cnt[s] = k
+                        odd[s] -= -1 if k & 1 else 1
+                bad = forbidden[idx]
+                for c in range(c + 1, min(used[idx] + 1, t)):
+                    if c in bad:
+                        continue
+                    cnt = counts[c]
+                    for s, left in rules:
+                        if deficit[s] + step[cnt[s]] > left:
+                            break
+                    else:
+                        # Dead: fully colored, and c takes its one odd count to even.
+                        cnt = odd_counts[c]
+                        for s, left in odds:
+                            if not left and cnt[s] & 1 and odd[s] == 1:
+                                break
+                        else:
+                            break
+                else:
+                    if not idx:
+                        return None
+                    idx -= 1
+                    continue
+                color[v] = c
+                cnt = counts[c]
+                for s, _ in rules:
+                    k = cnt[s]
+                    cnt[s] = k + 1
+                    deficit[s] += step[k]
+                cnt = odd_counts[c]
+                for s, _ in odds:
+                    k = cnt[s]
+                    cnt[s] = k + 1
+                    odd[s] += -1 if k & 1 else 1
+                idx += 1
+                if idx == n:
+                    return {v: color[v] for v in range(n)}
+                used[idx] = max(used[idx - 1], c + 1)
+        finally:
+            self.nodes = nodes
 
 
 def _strong_odd_scopes(g: Graph) -> list[frozenset[int]]:

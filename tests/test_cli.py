@@ -54,6 +54,12 @@ class TestGenSolve:
         code, out = invoke(["solve", "--notion", "chi"], "3 2\n0 1\n1 2\n")
         assert code == 0 and json.loads(out)["value"] == 2
 
+    def test_solve_long_path(self):
+        n = 1500
+        text = f"{n} {n - 1}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+        code, out = invoke(["solve", "--notion", "chi"], text)
+        assert code == 0 and json.loads(out)["value"] == 2
+
     def test_malformed_input(self):
         code, _ = invoke(["solve"], "{broken")
         assert code == 2

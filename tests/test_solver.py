@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -30,6 +31,17 @@ from strongodd.verify import (
     is_strong_odd_directed,
     is_strong_odd_on_set,
 )
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def solved(solve, g, *args, **kw):
+    """Value, witness as a list, and nodes per color count of one solve."""
+    stats = SolveStats()
+    value, witness = solve(g, *args, stats=stats, **kw)
+    return {"value": value, "witness": [witness.assignment[v] for v in range(g.n)],
+            "nodes_by_t": [stats.nodes_by_t[t] for t in sorted(stats.nodes_by_t)]}
 
 
 def random_graph(n, p, rng):
@@ -123,6 +135,31 @@ class TestChiSo:
         with pytest.raises(BudgetExceeded) as info:
             chi_so_exact(gen_gk(2), SolverBudget(node_limit=20), stats=stats)
         assert stats.nodes == info.value.nodes == sum(stats.nodes_by_t.values())
+
+
+class TestEngine:
+    """The search keeps its own stack: depth is bounded by memory only."""
+
+    def test_long_path(self):
+        g = Graph.path(5000)
+        value, witness = chi_exact(g)
+        assert value == 2 and is_proper(g, witness).ok
+        witness = feasible(g, 3)
+        assert witness is not None and is_strong_odd(g, witness).ok
+        assert feasible(g, 2) is None
+
+    def test_many_isolated_vertices(self):
+        value, witness = chi_so_exact(Graph(1200))
+        assert value == 1 and is_strong_odd(Graph(1200), witness).ok
+
+    def test_time_limit(self):
+        g = gen_gk(4)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceeded) as info:
+            chi_so_exact(g, SolverBudget(time_limit=0.3))
+        assert time.monotonic() - start < 5
+        assert info.value.lower_bound <= info.value.upper_bound
+        assert is_strong_odd(g, info.value.witness).ok
 
 
 class TestChiIso:
@@ -291,14 +328,39 @@ class TestForwardCheck:
 
     def test_values_and_witnesses_pinned(self):
         """(value, witness) pairs recorded before scopes were forward
-        checked: the search order is unchanged, so the first witness is too."""
-        cases = json.loads((Path(__file__).parent / "data" / "solver_witnesses.json").read_text())
-        assert len(cases) == 41
-        for case in cases:
+        checked: the search order is unchanged, so the first witness is too.
+        ``solver_nodes.json`` adds the nodes per color count and chi_iso,
+        recorded before the engine kept its own stack: the search visits the
+        same nodes in the same order."""
+        cases = json.loads((DATA / "solver_witnesses.json").read_text())
+        nodes = json.loads((DATA / "solver_nodes.json").read_text())["pinned"]
+        assert len(cases) == len(nodes) == 41
+        for case, pins in zip(cases, nodes):
+            assert case["name"] == pins["name"]
             g = Graph(case["n"], [tuple(e) for e in case["edges"]])
             for label, solve in (("chi_so", chi_so_exact), ("chi_odd", chi_odd_exact),
                                  ("chi", chi_exact)):
-                value, witness = solve(g)
-                got = [witness.assignment[v] for v in range(g.n)]
-                assert (value, got) == (case[label]["value"], case[label]["witness"]), \
-                    (case["name"], label)
+                want = {**case[label], "nodes_by_t": pins[label]}
+                assert solved(solve, g) == want, (case["name"], label)
+            assert solved(chi_iso_exact, g) == pins["chi_iso"], (case["name"], "chi_iso")
+
+    def test_gadgets_constraints_and_rules_pinned(self):
+        """G_1-G_3 with and without tree edges, a constrained solve and a
+        non-odd rule: values, witnesses and nodes per color count."""
+        cases = json.loads((DATA / "solver_nodes.json").read_text())["extra"]
+        assert len(cases) == 11
+        for case in cases:
+            g = Graph(case["n"], [tuple(e) for e in case["edges"]])
+            kw = {}
+            if "rule" in case:
+                modulus, residues = case["rule"]
+                kw["rule"] = MultiplicityRule(modulus, frozenset(residues))
+            if case["solver"] == "chi_so_constrained":
+                constraints = ConstraintSet((DiGraph(g.n, [tuple(a) for a in case["arcs"]]),),
+                                            tuple(map(frozenset, case["sets"])))
+                got = solved(chi_so_constrained, g, constraints, **kw)
+            else:
+                solve = {"chi_so": chi_so_exact, "chi_iso": chi_iso_exact}[case["solver"]]
+                got = solved(solve, g, **kw)
+            want = {k: case[k] for k in ("value", "witness", "nodes_by_t")}
+            assert got == want, case["name"]
