@@ -9,6 +9,8 @@ sets, and cliques of equal type share a clique coloring, computed on the
 whole layer.  A final mod-3 layer tag plus a layer-parity repair assemble the
 result.  Every subinstance is as large as the part of the layer it covers:
 one clique's children, or one type class's cliques, never the whole layer.
+A forest's BFS layers are edgeless, so at k = 1 a subinstance is colored
+from its vertex count and tracked sets alone and is never built.
 
 ``_layered_color`` is that construction written once, with the parts that
 depend on the instance passed in; the sum coloring of ``sumcolor`` runs it
@@ -259,7 +261,12 @@ def _tw_color(
     structured color values per vertex.  Each subinstance is a layer
     completion, whose graph is built once (for its slice-edge check) and
     passed down with it; the layering and the completions are read off
-    ``seq`` without building ``g`` again."""
+    ``seq`` without building ``g`` again.
+
+    A forest's BFS layers are edgeless (the greedy layer coloring checks
+    it), so at k = 1 a subinstance is its vertex count alone: it is colored
+    from that count and its tracked sets and never built, and no digraph is
+    restricted to it, as the edgeless base case reads none."""
     k = seq.k
     if k == 0:
         return _base_sets_coloring(g.n, sets)
@@ -267,15 +274,28 @@ def _tw_color(
     layering = bfs_layering(seq)
     chis = [_greedy_layer_coloring(g, layer, k) for layer in layering.layers]
 
-    def completion(d: int, vs):
-        comp = layer_completion(seq, vs)
-        return comp, comp.seq.n, comp.to_local
+    if k == 1:
+        def completion(d: int, vs):
+            return len(vs), len(vs), {v: i for i, v in enumerate(sorted(vs))}
 
-    def color(comp: Completion, sub_digraphs, sub_sets):
-        return _tw_color(comp.seq, comp.host, sub_digraphs, sub_sets)
+        def color(m: int, sub_digraphs, sub_sets):
+            return _base_sets_coloring(m, sub_sets)
 
-    def color_cliques(comp: Completion, cliques):
-        return _clique_color_raw(comp.seq, comp.host, cliques)
+        def color_cliques(m: int, cliques):
+            # Singleton cliques: each is colored as its member, with the
+            # members as the one tracked set (``_color_by_reps`` at k = 0).
+            psi = _base_sets_coloring(m, [frozenset().union(*cliques)])
+            return {q: psi[min(q)] for q in cliques}
+    else:
+        def completion(d: int, vs):
+            comp = layer_completion(seq, vs)
+            return comp, comp.seq.n, comp.to_local
+
+        def color(comp: Completion, sub_digraphs, sub_sets):
+            return _tw_color(comp.seq, comp.host, sub_digraphs, sub_sets)
+
+        def color_cliques(comp: Completion, cliques):
+            return _clique_color_raw(comp.seq, comp.host, cliques)
 
     def parent_rows(d: int, q: frozenset[int], vq: set[int]):
         # A parent k-clique holds one vertex of each layer color 1..k.
@@ -284,7 +304,7 @@ def _tw_color(
         return [(("N", i, chi[u]), h.out_neighbors(u) & vq)
                 for i, h in enumerate(digraphs) for u in by_color]
 
-    return _layered_color(g, layering, chis[0], (k,), digraphs, sets,
+    return _layered_color(g, layering, chis[0], (k,), digraphs if k > 1 else (), sets,
                           completion, color, parent_rows, color_cliques)
 
 

@@ -142,6 +142,39 @@ class TestLinearWork:
         assert all(is_strong_odd_directed(h, c).ok for h in digraphs)
         assert all(is_strong_odd_on_set(c, m) for m in sets)
 
+    def test_edgeless_subinstances_are_not_built(self, monkeypatch):
+        # The BFS layers of a 1-tree are edgeless: its subinstances are
+        # colored from their vertex counts and sets, with no completion
+        # built and no digraph restricted to them.
+        completed, restricted = [], []
+        complete, restrict = treewidth.layer_completion, treewidth._restrict_to
+
+        def counted_completion(seq, vertices):
+            completed.append(seq.k)
+            return complete(seq, vertices)
+
+        def counted_restrict(*args):
+            restricted.append(args)
+            return restrict(*args)
+
+        monkeypatch.setattr(treewidth, "layer_completion", counted_completion)
+        monkeypatch.setattr(treewidth, "_restrict_to", counted_restrict)
+
+        def run(k, n):
+            seq, host = gen_random_partial_ktree(k, n - k, 1.0, seed=9)
+            rng = random.Random(9)
+            digraphs = [random_subdigraph(host, rng) for _ in range(2)]
+            sets = random_subsets(host.n, 2, rng)
+            c = color_tw(seq, digraphs, sets)
+            assert all(is_strong_odd_directed(h, c).ok for h in digraphs)
+            assert all(is_strong_odd_on_set(c, m) for m in sets)
+
+        run(1, 200)
+        assert completed == [] and restricted == []
+        run(2, 120)
+        assert completed and set(completed) == {2}
+        assert restricted
+
 
 class TestCliqueColoring:
     def test_empty_family(self):
