@@ -12,15 +12,18 @@ form a fixed precolored gadget; a deterministic extension routine colors the
 stubs so the center vertex's masked neighborhood is parity-clean while the
 coloring stays proper and distance-2-clean along the relevant paths.  The
 host sits on two dummy bottom layers and is kept as parent pairs and
-distances only.  Validation records each layer path once; where an instance
-needs a longer path or stub than the host has, the planner pads the records
-with fresh ids, colored like vertices but never part of the host.  Dummies
-and padding carry no mask edges and are stripped from the result.
+distances only.  Validation makes one pass over the parent pairs and reads
+each layer path's record off its shared vertex, the one whose parents are
+both below.  Where an instance needs a longer path or stub than the host
+has, the planner pads the records with fresh ids, colored like vertices but
+never part of the host.  Colors sit in one flat list indexed by host or
+padding id.  Each mask bit of an instance is one lookup of a sorted pair in
+the mask's own pair set; dummies and padding are in no pair, and they are
+stripped from the result.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count, islice
@@ -193,10 +196,14 @@ def _extend_core(
     bit 0 v-x, bit 1 v-y, bit 2 v-u2, bit 3 v-w2, bits 4.. the u stub, then
     the w stub.  Returns stub colors in canonical palette."""
     ucol, wcol, class_masks = _prelim_pattern(i, j, p, q)
-    if all((vmask & m).bit_count() % 2 or not (vmask & m) for m in class_masks):
-        # The preliminary pattern is proper and distance-2-clean by shape;
-        # the precolored neighbors contribute at most one each, so parity at
-        # the center reduces to these three class counts.
+    # The preliminary pattern is proper and distance-2-clean by shape; the
+    # precolored neighbors contribute at most one each, so parity at the
+    # center reduces to these three class counts.
+    for m in class_masks:
+        k = (vmask & m).bit_count()
+        if k and not k % 2:
+            break
+    else:
         return ucol, wcol
     flat = _search_extension(i, j, p, q, vmask)
     if flat is None:
@@ -250,8 +257,14 @@ class _Host:
     parents, so vertices a < b are adjacent iff ``a in parents[b]``.
 
     Original vertex v is vertex v + OFFSET here, and its BFS layer d (see
-    ``ktree.bfs_layering``) is the set of vertices at distance d + 3.
-    Padding never enters the host; it lives in the planner's path records.
+    ``ktree.bfs_layering``) is the set of vertices at distance d + 3.  A
+    vertex's distance is one more than its nearer parent's, so at most one
+    parent shares its layer, and validation reads each layer path's record
+    off its shared vertex, the one with both parents below.  Padding never
+    enters the host: it lives in the planner's path records, with ids from
+    ``len(parents)`` on, and the driver keeps the colors of host and padding
+    ids in one flat list.  Mask pairs stay in the caller's ids; an instance
+    reads a mask bit as the pair (parent - OFFSET, child - OFFSET).
     """
 
     OFFSET = 5  # dummy ids 0..4: bottom edge a,b; middle path d,v*,e
@@ -263,29 +276,29 @@ class _Host:
         self.dist: list[int] = [1, 1, 2, 2, 2, 3, 3]
         parents, dist = self.parents, self.dist
         off = self.OFFSET
+        # KTreeSeq checked that each parent pair is an edge.
         for _, (a, b) in seq.steps:
             a, b = (a + off, b + off) if a < b else (b + off, a + off)
-            if a not in parents[b]:
-                raise NotOuterplanarWitness(f"attachment pair ({a},{b}) is not an edge")
             parents.append((a, b))
             da, db = dist[a], dist[b]
             dist.append(1 + (da if da < db else db))
-
-    def layers(self) -> list[list[int]]:
-        """Vertices by distance, distance 1 first, each in increasing order."""
-        out: list[list[int]] = [[] for _ in range(max(self.dist))]
-        for v, dv in enumerate(self.dist):
-            out[dv - 1].append(v)
-        return out
 
 
 # ---------------------------------------------------------------------------
 # Structure validation of the witness sequence, read off the augmented host.
 #
-# Each layer path is recorded by its anchor edge (x, y), x < y, the edge of
-# the layer below that it hangs from: (shared, x-side, y-side), where the
-# shared vertex is adjacent to x and y, and each side is the subpath
-# anchored at that end, read outward from the shared vertex.
+# In each layer the in-layer edges form a forest: a vertex has at most one
+# parent in its layer, and parents come first, so a component's least vertex
+# is its root, the one vertex with both parents below.  A non-root vertex's
+# parent below is a parent of its in-layer parent as well, so each in-layer
+# subtree of the root hangs below one end of the root's parent pair.  Where
+# no vertex has three neighbours in its layer, each component is a path,
+# recorded by its anchor edge (x, y), x < y, the root's parent pair, as
+# (shared, x-side, y-side): the shared vertex is the root, and each side is
+# the subpath below that end, read outward from the shared vertex.  x is
+# y's in-layer parent, and the record is kept at y.
+
+_Record = tuple[int, list[int], list[int]]
 
 
 def _original(vs: Iterable[int]) -> list[int]:
@@ -293,220 +306,158 @@ def _original(vs: Iterable[int]) -> list[int]:
     return [v - _Host.OFFSET for v in vs]
 
 
-def _layer_paths(layer: list[int], inside: list[list[int]]) -> list[list[int]]:
-    """Split one layer of the host into its paths, ordered by least vertex
-    and read from the lesser end; ``inside`` holds each vertex's neighbours
-    in its layer.  Raise if a component is not a path; of several vertices
-    with more than two neighbours in the layer, the least is named."""
-    for v in layer:
-        if len(inside[v]) > 2:
-            raise NotOuterplanarWitness(
-                f"layer vertex {v - _Host.OFFSET} has {len(inside[v])} in-layer neighbors"
-            )
-    # Walk each path from its lesser end; a vertex no walk reaches has two
-    # neighbours in the layer, as has all of its component: a cycle.
-    paths = []
-    on_path: set[int] = set()
-    for end in layer:
-        if end in on_path or len(inside[end]) == 2:
-            continue
-        path, prev, cur = [end], None, end
-        while True:
-            nb = inside[cur]
-            if len(nb) == 2:
-                cur, prev = (nb[1] if nb[0] == prev else nb[0]), cur
-            elif nb and nb[0] != prev:
-                cur, prev = nb[0], cur
-            else:
-                break
-            path.append(cur)
-        on_path.update(path)
-        paths.append(path)
-    if len(on_path) < len(layer):
-        start = next(v for v in layer if v not in on_path)
-        cycle, todo = {start}, [start]
-        while todo:
-            for w in inside[todo.pop()]:
-                if w not in cycle:
-                    cycle.add(w)
-                    todo.append(w)
-        raise NotOuterplanarWitness(
-            f"layer component {_original(sorted(cycle))} is not a path"
-        )
-    paths.sort(key=min)
-    return paths
-
-
-_Paths = dict[tuple[int, int], tuple[int, list[int], list[int]]]
-
-
-def validate_outerplanar_structure(seq: KTreeSeq) -> tuple[_Host, _Paths]:
+def validate_outerplanar_structure(seq: KTreeSeq) -> tuple[_Host, list[Optional[_Record]]]:
     """Check the path-layer structure the coloring relies on; return the
-    augmented host the check read and its path records, bottom layer first,
-    which ``color_outerplanar`` goes on to pad and color."""
+    augmented host the check read and, by host vertex y, the record of the
+    path anchored at y and its in-layer parent (None where there is none),
+    which ``color_outerplanar`` goes on to pad and color.
+
+    Of several faults, the one reported is the first that a layer-by-layer
+    check meets: lowest layer first; in it, the least vertex with three
+    in-layer neighbours, else the paths by shared vertex, an edge's second
+    path before a path whose two sides hang below one end.
+    """
     if seq.k != 2:
         raise NotOuterplanarWitness("witness must be a 2-tree sequence")
     host = _Host(seq)
     parents, dist = host.parents, host.dist
-    # A parent lies one layer below its child or in the child's layer.
-    inside: list[list[int]] = [[] for _ in dist]
-    below: list[tuple[int, ...]] = [()] * len(dist)
-    for v in range(2, len(dist)):
-        a, b = parents[v]
-        dv = dist[v]
-        if dist[a] == dv:
-            inside[a].append(v)
-            inside[v].append(a)
-            below[v] = (b,)
-        elif dist[b] == dv:
-            inside[b].append(v)
-            inside[v].append(b)
-            below[v] = (a,)
-        else:
-            below[v] = (a, b)
-    layers = host.layers()[2:]  # the original BFS layers
-    first = layers[0]
-    if len(first) != 2 or first[0] not in parents[first[1]]:
-        raise NotOuterplanarWitness("first layer is not an edge")
+    size = len(dist)
     # The middle path and the first layer, as the dummy steps built them.
-    paths: _Paths = {(0, 1): (2, [3], [4]), (2, 3): (5, [6], [])}
-    for layer in layers[1:]:
-        for path in _layer_paths(layer, inside):
-            down = [below[v] for v in path]
-            anchors = sorted(set().union(*down))
-            shared = [v for v, d in zip(path, down) if len(d) == 2]
-            if len(anchors) != 2 or anchors[0] not in parents[anchors[1]]:
-                raise NotOuterplanarWitness(
-                    f"path {_original(path)} hangs below {_original(anchors)}, not an edge"
-                )
-            edge = x, y = tuple(anchors)
-            if edge in paths:
-                raise NotOuterplanarWitness(
-                    f"edge {_original(anchors)} carries two layer paths"
-                )
-            if len(shared) != 1:
-                raise NotOuterplanarWitness(
-                    f"path {_original(path)} has {len(shared)} vertices with two neighbors below"
-                )
-            if () in down:
-                raise NotOuterplanarWitness(f"path {_original(path)} has a floating vertex")
-            # One side is all-x, the other all-y (either orientation).
-            s = path.index(shared[0])
-            left, right = path[s - 1::-1] if s else [], path[s + 1:]
-            la = {below[v][0] for v in left}
-            ra = {below[v][0] for v in right}
-            if len(la) > 1 or len(ra) > 1 or (la and la == ra):
-                raise NotOuterplanarWitness(f"path {_original(path)} mixes its two subpaths")
-            paths[edge] = (shared[0], left, right) if x in la or y in ra else \
-                (shared[0], right, left)
-    return host, paths
+    # The first layer is the initial edge (5, 6), so it needs no check.
+    records: list[Optional[_Record]] = [None] * size
+    records[1], records[3] = (2, [3], [4]), (5, [6], [])
+    rooted: list[Optional[_Record]] = [None] * size  # each root's record
+    side_of: list[Optional[list[int]]] = [None] * size  # each non-root's side
+    degree = [0] * size  # neighbours in the layer
+    faults: list[tuple] = []  # (layer, 0, vertex) or (layer, 1, root, kind, ...)
+    for v in range(7, size):
+        a, b = parents[v]
+        d = dist[v]
+        # The nearer parent is one layer below, so no vertex floats, and
+        # at most one parent is in v's layer, so no layer holds a cycle.
+        if dist[a] == d:
+            up, low = a, b
+        elif dist[b] == d:
+            up, low = b, a
+        else:
+            # A root; it is its component's only one (m vertices, m - 1
+            # edges, one per non-root), and its parents are an edge.
+            rooted[v] = rec = (v, [], [])
+            if records[b] is None:
+                records[b] = rec
+            else:
+                faults.append((d, 1, v, 0))
+            continue
+        degree[up] += 1
+        degree[v] = 1
+        side = side_of[up]
+        if side is None:  # v starts a side of the root up
+            rec = rooted[up]
+            # low is a parent of up, so the path hangs below (x, y).
+            side = rec[1] if low == parents[up][0] else rec[2]
+            if side:  # and another side already hangs below that end
+                faults.append((d, 1, up, 1, side, new := []))
+                side = new
+        side.append(v)
+        side_of[v] = side
+    if faults or max(degree) > 2:
+        faults += [(dist[v], 0, v) for v, k in enumerate(degree) if k > 2]
+        fault = min(faults)
+        v = fault[2]
+        if fault[1] == 0:
+            raise NotOuterplanarWitness(
+                f"layer vertex {v - _Host.OFFSET} has {degree[v]} in-layer neighbors")
+        if fault[3] == 0:
+            raise NotOuterplanarWitness(
+                f"edge {_original(parents[v])} carries two layer paths")
+        one, two = fault[4:]
+        # Named as walked from its lesser end.
+        path = one[::-1] + [v] + two if one[-1] < two[-1] else two[::-1] + [v] + one
+        raise NotOuterplanarWitness(f"path {_original(path)} mixes its two subpaths")
+    return host, records
 
 
 # ---------------------------------------------------------------------------
 # The layer-by-layer driver.
 
-
-@dataclass
-class _Instance:
-    center: int
-    x: int
-    y: int
-    u1: int
-    u2: int
-    w2: int
-    w1: int
-    u_ext: list[int]
-    w_ext: list[int]
+# One instance: (center, x, y, u1, u2, w2, w1, u stub, w stub), the ids in
+# their gadget roles.
+_Slots = tuple[int, int, int, int, int, int, int, list[int], list[int]]
 
 
-def _pad(side: list[int], length: int, fresh: Iterator[int]) -> None:
-    """Extend a path record's side to ``length`` with fresh padding ids."""
-    if len(side) < length:
-        side.extend(islice(fresh, length - len(side)))
+def _plan_path(
+    rec: _Record, parents: list[tuple[int, ...]], records: list[Optional[_Record]],
+    fresh: Iterator[int],
+) -> list[_Slots]:
+    """Plan the sweep over one layer path, padding its record and the
+    records of its child paths as needed.
 
-
-def _plan_path(x: int, y: int, paths: _Paths, fresh: Iterator[int]) -> Optional[list[_Instance]]:
-    """Plan the sweep over the layer path anchored at (x, y), padding its
-    record and the records of its child paths as needed.
-
-    Position 0 is the shared vertex, positions -1, -2.. its x-side and
-    +1, +2.. its y-side.  Returns the instance list in processing order
-    (0, +1.., then -1..), or None when no vertex of the path has children
-    to color.
+    The sweep colors around the shared vertex first, then walks out along
+    the y-side, then along the x-side.  Around the shared vertex, u2 and u1
+    are the x-side's first two vertices, w2 and w1 the y-side's, and each
+    stub is the shared child and inner side of the child path on that
+    side's first edge.  Around a side vertex, the child path of its inner
+    edge (toward the shared vertex) gives u2, u1 and the u stub, and the
+    child path of its outer edge the w stub.  Returns the instances in
+    processing order, none when no vertex of the path has children.
     """
-    shared, left, right = paths[x, y]
-    pos = left[::-1] + [shared] + right
-    base = len(left)  # index of position 0 in pos
-    # Child path of edge (p_t, p_{t+1}) by t: shared child, t-side,
-    # (t+1)-side.  Its shared child and near side go to the instance closer
-    # to position 0, its far side, if any, to the other one; the outermost
-    # instances so given work bound the sweep.
-    stubs: dict[int, tuple[int, list[int], list[int]]] = {}
-    t_min = t_max = 0
-    for k in range(len(pos) - 1):
-        a, b = pos[k], pos[k + 1]
-        child = paths.get((a, b) if a < b else (b, a))
-        if child is None:
-            continue
-        s, cx, cy = child
-        near, far = (cx, cy) if a < b else (cy, cx)
-        t = k - base
-        stubs[t] = (s, near, far)
-        if t >= 0:
-            t_max = max(t_max, t + 1 if far else t)
-        else:
-            t_min = min(t_min, t if near else t + 1)
-    if not stubs:
-        return None
-
-    # Path padding: two positions beyond each processed end.
-    _pad(left, -t_min + 2, fresh)
-    _pad(right, t_max + 2, fresh)
-    pos = left[::-1] + [shared] + right
-    base = len(left)
-
-    # Stub padding: each instance needs both its stubs at least two long
-    # (shared child included) and its u1 from the stub on its inner edge.
-    for t in range(t_min - 1, t_max + 1):
-        if not (0 <= base + t and base + t + 1 < len(pos)):
-            raise InvariantViolated(f"path padding left no edge at position {t}")
-        if t not in stubs:
-            stubs[t] = (next(fresh), [], [])
-        _, near, far = stubs[t]
-        _pad(near, 1 if t >= 0 else 2 if t >= t_min else 0, fresh)
-        _pad(far, (2 if t < t_max else 0) if t >= 0 else 1, fresh)
-
-    instances = []
-    for t in chain(range(t_max + 1), range(-1, t_min - 1, -1)):
-        c = base + t
-        if c < 2 or c + 2 >= len(pos):
+    shared, xside, yside = rec
+    xkids = [records[v] for v in xside]
+    ykids = [records[v] for v in yside]
+    if not (any(xkids) or any(ykids)):
+        return []
+    x, y = parents[shared]
+    plan: list[_Slots] = []
+    for side, anchor, kids in ((yside, y, ykids), (xside, x, xkids)):
+        # kids[k]: the child path of side[k]'s inner edge.  Its shared child
+        # and inner side go to the instance at k - 1, its outer side to the
+        # one at k; the outermost instances so given work bound the sweep.
+        reach = 0
+        for k, kid in enumerate(kids):
+            if kid is not None:
+                reach = k + 1 if kid[2] else k
+        # Padding: the side two positions beyond its last instance; each
+        # instance's stubs at least two long (shared child included), and
+        # its u1 from the stub on its inner edge.
+        if len(side) < reach + 2:
+            side.extend(islice(fresh, reach + 2 - len(side)))
+        kids += [None] * (reach + 1 - len(kids))
+        for k in range(reach + 1):
+            if k >= len(side):
+                raise InvariantViolated(f"path padding left no edge at position {k}")
+            kid = kids[k]
+            if kid is None:
+                kids[k] = kid = (next(fresh), [], [])
+            _, inner, outer = kid
+            if not inner:
+                inner.append(next(fresh))
+            if k < reach and len(outer) < 2:
+                outer.extend(islice(fresh, 2 - len(outer)))
+        if len(side) < reach + 2:
             raise InvariantViolated("path padding failed")
-        if t == 0:
-            s_l, _, far_l = stubs[-1]   # edge (p_-1, p_0)
-            s_r, near_r, _ = stubs[0]   # edge (p_0, p_1)
-            inst = _Instance(shared, x, y, pos[c - 2], pos[c - 1], pos[c + 1], pos[c + 2],
-                             [s_l] + far_l, [s_r] + near_r)
-        elif t > 0:
-            s_l, near_l, far_l = stubs[t - 1]
-            s_r, near_r, _ = stubs[t]
-            inst = _Instance(pos[c], pos[c - 1], y, near_l[0], s_l, pos[c + 1], pos[c + 2],
-                             far_l, [s_r] + near_r)
-        else:
-            s_r, near_r, far_r = stubs[t]    # edge (p_t, p_{t+1})
-            s_l, _, far_l = stubs[t - 1]     # edge (p_{t-1}, p_t)
-            inst = _Instance(pos[c], pos[c + 1], x, far_r[0], s_r, pos[c - 1], pos[c - 2],
-                             near_r, [s_l] + far_l)
-        if len(inst.u_ext) < 2 or len(inst.w_ext) < 2:
-            raise InvariantViolated("stub padding failed")
-        instances.append(inst)
-    return instances
+        inner = shared
+        for k in range(reach):
+            v = side[k]
+            u2, near, u_ext = kids[k]
+            s, w_near, _ = kids[k + 1]
+            if len(u_ext) < 2 or not w_near:
+                raise InvariantViolated("stub padding failed")
+            plan.append((v, inner, anchor, near[0], u2, side[k + 1], side[k + 2],
+                         u_ext, [s] + w_near))
+            inner = v
+    (u2, u_near, _), (w2, w_near, _) = xkids[0], ykids[0]
+    if not (u_near and w_near):
+        raise InvariantViolated("stub padding failed")
+    plan.insert(0, (shared, x, y, xside[1], xside[0], yside[0], yside[1],
+                    [u2] + u_near, [w2] + w_near))
+    return plan
 
 
 def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) -> Coloring:
     """8-coloring of the host whose restriction to the masked subgraph is
     strong odd.  ``mask`` is the subgraph's edge set (or a Graph on the host's
     vertices with a subset of its edges)."""
-    host, paths = validate_outerplanar_structure(seq)
+    host, records = validate_outerplanar_structure(seq)
     n = seq.n
     if isinstance(mask, Graph):
         if mask.n != n:
@@ -514,34 +465,33 @@ def color_outerplanar(seq: KTreeSeq, mask: Iterable[tuple[int, int]] | Graph) ->
         mask_edges = mask.edges
     else:
         mask_edges = frozenset(tuple(sorted(e)) for e in mask)
-    # Masked neighbours per host vertex; dummies and padding carry no mask
-    # edges.  Each pair is sorted, u <= v.
+    # Each pair is sorted, u <= v; instances look their pairs up as they are.
     off = _Host.OFFSET
     parents = host.parents
-    masked: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in mask_edges:
         if not (0 <= u and v < n and u + off in parents[v + off]):
             raise NotOuterplanarWitness(f"mask edge ({u},{v}) is not a host edge")
-        masked[u + off].add(v + off)
-        masked[v + off].add(u + off)
 
     # Plan the paths top down, so that padding of a path is in its record
-    # before the layer below reads it as stubs; color bottom up.
+    # before the layer below reads it as stubs; color bottom up.  A child
+    # path's record is kept at a vertex of its parent path, a later id than
+    # the parent's own, so in id order every path follows its parent.
+    paths = [rec for rec in records if rec is not None]
     fresh = count(len(parents))
-    plans = [_plan_path(x, y, paths, fresh) for x, y in reversed(paths)]
+    plans = [_plan_path(rec, parents, records, fresh) for rec in reversed(paths)]
 
-    psi: dict[int, int] = {0: 1, 1: 2}
+    psi = [0] * next(fresh)  # by host or padding id; 0 while uncolored
+    psi[0], psi[1] = 1, 2
     # Middle layer: 3,4,5 repeated along the (possibly padded) path.
-    shared, left, right = paths[0, 1]
+    shared, left, right = paths[0]
     for p, v in enumerate(left[::-1] + [shared] + right):
         psi[v] = 3 + p % 3
 
-    unmasked: frozenset[int] = frozenset()
     for plan in reversed(plans):
-        for inst in plan or ():
-            _apply_instance(inst, psi, masked.get(inst.center, unmasked))
+        for inst in plan:
+            _apply_instance(inst, psi, mask_edges, n)
 
-    return Coloring({v: psi[v + off] for v in range(n)})
+    return Coloring(dict(enumerate(psi[off:off + n])))
 
 
 @lru_cache(maxsize=None)
@@ -560,26 +510,42 @@ def _slot_renaming(cols: tuple[int, int, int, int, int]):
     return bytes(rename.get(c, 0) for c in range(9)), bytes(inverse)
 
 
-def _apply_instance(inst: _Instance, psi: dict[int, int], masked: Container[int]) -> None:
-    """Color one instance's stubs; ``masked`` holds the center's masked
-    neighbours."""
-    rename, inverse = _slot_renaming(
-        (psi[inst.x], psi[inst.y], psi[inst.center], psi[inst.u2], psi[inst.w2]))
-    i = rename[psi[inst.u1]]
-    j = rename[psi[inst.w1]]
+def _apply_instance(
+    inst: _Slots, psi: list[int], mask_edges: Container[tuple[int, int]], n: int
+) -> None:
+    """Color one instance's stubs.  ``mask_edges`` holds the mask's sorted
+    pairs in the caller's ids, and the host has ``n`` vertices."""
+    center, x, y, u1, u2, w2, w1, u_ext, w_ext = inst
+    rename, inverse = _slot_renaming((psi[x], psi[y], psi[center], psi[u2], psi[w2]))
+    i = rename[psi[u1]]
+    j = rename[psi[w1]]
     if i in (1, 2, 5):
         raise InvariantViolated("u1 precondition violated")
     if j in (3, 4, 5):
         raise InvariantViolated("w1 precondition violated")
 
-    vmask = _pack_vmask(masked, chain(
-        (inst.x, inst.y, inst.u2, inst.w2), inst.u_ext, inst.w_ext))
-    ucol, wcol = _extend_core(i, j, len(inst.u_ext), len(inst.w_ext), vmask)
-    for u, col in zip(inst.u_ext, ucol):
-        if u in psi:
+    # x and y are parents of the center, the rest its children or padding,
+    # so each pair below is sorted as written.  Dummies (negative ids) and
+    # padding (ids from n on) are in no mask pair, and a stub's padding
+    # follows its real vertices.
+    off = _Host.OFFSET
+    c = center - off
+    vmask = ((x - off, c) in mask_edges) | ((y - off, c) in mask_edges) << 1 \
+        | ((c, u2 - off) in mask_edges) << 2 | ((c, w2 - off) in mask_edges) << 3
+    p = len(u_ext)
+    for first, stub in ((4, u_ext), (4 + p, w_ext)):
+        for r, u in enumerate(stub, first):
+            u -= off
+            if u >= n:
+                break
+            if (c, u) in mask_edges:
+                vmask |= 1 << r
+    ucol, wcol = _extend_core(i, j, p, len(w_ext), vmask)
+    for u, col in zip(u_ext, ucol):
+        if psi[u]:
             raise InvariantViolated("stub vertex colored twice")
         psi[u] = inverse[col]
-    for w, col in zip(inst.w_ext, wcol):
-        if w in psi:
+    for w, col in zip(w_ext, wcol):
+        if psi[w]:
             raise InvariantViolated("stub vertex colored twice")
         psi[w] = inverse[col]

@@ -21,6 +21,7 @@ from strongodd.outerplanar import (
     NotOuterplanarWitness,
     PreconditionViolated,
     V,
+    _Host,
     X,
     Y,
     _extend_core,
@@ -283,6 +284,67 @@ def _fuzz_two_tree(n, rng, stray, reuse):
     return KTreeSeq.make(2, steps)
 
 
+def _check_host_facts(seq):
+    """Check, on the augmented host of ``seq``, the facts that leave
+    validation no further faults to look for: each vertex has a parent one
+    layer below it and at most one in its own layer; in each layer the
+    in-layer edges form a forest whose roots, each component's least vertex,
+    are exactly the vertices with both parents below; a non-root vertex's
+    parent below is a parent of its in-layer parent too, so every vertex
+    hangs below its root's parent pair, which is an edge; the first layer is
+    the initial edge."""
+    host = _Host(seq)
+    parents, dist = host.parents, host.dist
+    off = _Host.OFFSET
+    assert [v for v, d in enumerate(dist) if d == 3] == [off, off + 1]
+    assert off in parents[off + 1]
+    comp = list(range(len(dist)))  # union-find over the in-layer edges
+
+    def find(v):
+        while comp[v] != v:
+            comp[v] = v = comp[comp[v]]
+        return v
+
+    below = {}
+    edges = 0
+    for v in range(off + 2, len(dist)):
+        same = [p for p in parents[v] if dist[p] == dist[v]]
+        below[v] = [p for p in parents[v] if dist[p] == dist[v] - 1]
+        assert below[v] and len(same) + len(below[v]) == 2
+        for p in same:
+            assert below[v][0] in parents[p]
+            assert find(p) != find(v)  # no in-layer cycle
+            comp[find(v)] = find(p)
+            edges += 1
+    members = {}
+    for v in below:
+        members.setdefault(find(v), []).append(v)
+    assert edges == len(below) - len(members)
+    for group in members.values():
+        roots = [v for v in group if len(below[v]) == 2]
+        assert roots == [min(group)]
+        x, y = parents[roots[0]]
+        assert x in parents[y]
+        assert all(p in (x, y) for v in group for p in below[v])
+
+
+class TestHostFacts:
+    def test_facts_hold_on_fuzzed_two_trees(self):
+        rng = random.Random(3)
+        outcomes = {"accepted": 0, "rejected": 0}
+        for _ in range(3000):
+            seq = _fuzz_two_tree(rng.randrange(3, 40), rng,
+                                 rng.choice((0, 0.02, 0.1, 0.3, 1)), rng.choice((0, 0.02, 0.1)))
+            _check_host_facts(seq)
+            try:
+                validate_outerplanar_structure(seq)
+            except NotOuterplanarWitness:
+                outcomes["rejected"] += 1
+            else:
+                outcomes["accepted"] += 1
+        assert min(outcomes.values()) >= 500, outcomes
+
+
 FUZZ_DIGEST = "e45bf7d943b11fe3c31847348805a77180b788d42b3ef09c67a3443048ce6bad"
 
 
@@ -388,6 +450,19 @@ class TestDriver:
             assert all(1 <= col <= 8 for col in c.assignment.values())
             assert is_proper(host, c).ok
             assert is_strong_odd(mask, c).ok
+
+    def test_reversed_and_repeated_mask_pairs(self):
+        # Instances look mask pairs up sorted, so an edge list is normalised
+        # first: (v, u) pairs and repeats color as the same mask as a Graph.
+        seq = gen_random_maximal_outerplanar(200, 4)
+        edges = build_ktree(seq).edge_list()
+        rng = random.Random(4)
+        kept = [e for e in edges if rng.random() < 0.6]
+        pairs = [(v, u) for u, v in kept] + kept[::3] + [(v, u) for u, v in kept[::5]]
+        rng.shuffle(pairs)
+        c = color_outerplanar(seq, pairs)
+        assert c.assignment == color_outerplanar(seq, Graph(seq.n, kept)).assignment
+        assert c.assignment != color_outerplanar(seq, []).assignment
 
     def test_empty_mask(self):
         seq = gen_random_maximal_outerplanar(12, 3)
