@@ -9,10 +9,27 @@ a scope has left to color cannot repair it.  For a rule scope the repair
 cost is its deficit, the sum over present colors of the fewest extra
 members that bring the color's count to an allowed residue; one member
 lowers the deficit by at most one.  An odd scope is dead once it is fully
-colored with no odd count.  Cutting only dead subtrees leaves the branching
-order, and so the first witness found, unchanged.  A color is checked
-against every scope of its vertex before it is committed, and the search
-keeps its own stack, so it has no recursion-depth limit.
+colored with no odd count.  A color is checked against every scope of its
+vertex before it is committed, and the search keeps its own stack, so it has
+no recursion-depth limit.
+
+The search branches on the vertices in a fixed order and tries colors in
+increasing order, opening at most one new color per vertex.  It thus visits
+colorings in lexicographic order, and its first witness is the least valid
+coloring L.  Cutting a dead subtree keeps L, so it keeps the first witness.
+
+One more cut breaks twin symmetry.  Call x and y twins if they have the same
+neighbours (so they are not adjacent) and lie in exactly the same rule
+scopes and odd scopes.  Swapping the colors of x and y then maps every valid
+coloring to a valid one.  Let x come before y, and suppose L[x] > L[y].
+Colors open in order, so the smaller L[y] first occurs before x.  Swap the
+colors of x and y, then rename the colors in order of first use.  Every
+vertex before x keeps its color, and x gets L[y] < L[x].  The result is a
+valid coloring below L, which is impossible.  So L[x] <= L[y] for every
+such pair, and the cut is: y may take c only if c >= color(x), where x is
+the latest vertex before y with y's neighbours, if x is y's twin.  It keeps
+L, so values, first witnesses and infeasibility proofs are unchanged; it
+only removes nodes.
 """
 
 from __future__ import annotations
@@ -126,13 +143,15 @@ class _Engine:
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
-        self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        nbrs = list(map(g.neighbors, range(g.n)))
+        # By degree, highest first; the sort is stable, so ties stay in id order.
+        self.order = sorted(range(g.n), key=lambda v: -len(nbrs[v]))
         pos = {v: i for i, v in enumerate(self.order)}
         # Only earlier neighbours: the later ones are uncolored when v is tried.
         self.adj: list[frozenset[int]] = [frozenset()] * g.n
         earlier: set[int] = set()
         for v in self.order:
-            self.adj[v] = g.neighbors(v) & earlier
+            self.adj[v] = nbrs[v] & earlier
             earlier.add(v)
         rules = list(dict.fromkeys(s for s in rule_scopes if s))
         odds = list(dict.fromkeys(s for s in odd_scopes if s))
@@ -140,14 +159,28 @@ class _Engine:
         self.step = _deficit_steps(rule, max(map(len, rules), default=0))
         self.rule_of = _membership(rules, pos, g.n)
         self.odd_of = _membership(odds, pos, g.n)
+        # floor[v]: the latest vertex before v with v's neighbours, if it is
+        # v's twin (module docstring), else the sentinel n, whose slot in
+        # run's color list holds 0.  Most graphs have no equal neighbourhoods.
+        self.floor = [g.n] * g.n
+        if len(set(nbrs)) < g.n:
+            def scopes(v):
+                return [s for s, _ in self.rule_of[v]], [s for s, _ in self.odd_of[v]]
+
+            last: dict = {}
+            for v in self.order:
+                x = last.get(nbrs[v])
+                if x is not None and scopes(x) == scopes(v):
+                    self.floor[v] = x
+                last[nbrs[v]] = v
 
     def run(self, t: int) -> Optional[dict[int, int]]:
         n, order, adj, proper = self.n, self.order, self.adj, self.proper
-        rule_of, odd_of, step = self.rule_of, self.odd_of, self.step
+        rule_of, odd_of, step, floor = self.rule_of, self.odd_of, self.step, self.floor
         node_limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
         if not n:
             return {}
-        color = [-1] * n
+        color = [-1] * n + [0]
         color_of = color.__getitem__
         # counts[c][s]: members of rule scope s colored c; deficit[s]: its
         # repair cost (module docstring); odd[s]: colors with an odd count
@@ -172,6 +205,7 @@ class _Engine:
                         raise _Stop
                     if proper:
                         forbidden[idx] = {*map(color_of, adj[v])}
+                    c = color[floor[v]]
                 else:
                     color[v] = -1
                     cnt = counts[c]
@@ -184,8 +218,9 @@ class _Engine:
                         k = cnt[s] - 1
                         cnt[s] = k
                         odd[s] -= -1 if k & 1 else 1
+                    c += 1
                 bad = forbidden[idx]
-                for c in range(c + 1, min(used[idx] + 1, t)):
+                for c in range(c, min(used[idx] + 1, t)):
                     if c in bad:
                         continue
                     cnt = counts[c]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from strongodd import solver
 from strongodd.gadgets import gen_gk
 from strongodd.graphs import Coloring, DiGraph, Graph, MultiplicityRule, ODD_RULE
 from strongodd.solver import (
@@ -42,6 +43,11 @@ def solved(solve, g, *args, **kw):
     value, witness = solve(g, *args, stats=stats, **kw)
     return {"value": value, "witness": [witness.assignment[v] for v in range(g.n)],
             "nodes_by_t": [stats.nodes_by_t[t] for t in sorted(stats.nodes_by_t)]}
+
+
+def within(nodes_by_t, ceiling):
+    """Node counts per color count at most a ceiling's, for the same t."""
+    return len(nodes_by_t) == len(ceiling) and all(map(int.__le__, nodes_by_t, ceiling))
 
 
 def random_graph(n, p, rng):
@@ -328,10 +334,11 @@ class TestForwardCheck:
 
     def test_values_and_witnesses_pinned(self):
         """(value, witness) pairs recorded before scopes were forward
-        checked: the search order is unchanged, so the first witness is too.
-        ``solver_nodes.json`` adds the nodes per color count and chi_iso,
-        recorded before the engine kept its own stack: the search visits the
-        same nodes in the same order."""
+        checked.  Cuts remove only subtrees without the least valid
+        coloring, so the first witness stays the same.  ``solver_nodes.json``
+        adds chi_iso and the nodes per color count since twin floors; its
+        ``ceiling`` holds the counts from before them, which no count may
+        exceed."""
         cases = json.loads((DATA / "solver_witnesses.json").read_text())
         nodes = json.loads((DATA / "solver_nodes.json").read_text())["pinned"]
         assert len(cases) == len(nodes) == 41
@@ -343,10 +350,15 @@ class TestForwardCheck:
                 want = {**case[label], "nodes_by_t": pins[label]}
                 assert solved(solve, g) == want, (case["name"], label)
             assert solved(chi_iso_exact, g) == pins["chi_iso"], (case["name"], "chi_iso")
+            ceiling = pins["ceiling"]
+            assert within(pins["chi_iso"]["nodes_by_t"], ceiling["chi_iso"])
+            assert all(within(pins[label], ceiling[label])
+                       for label in ("chi_so", "chi_odd", "chi"))
 
     def test_gadgets_constraints_and_rules_pinned(self):
         """G_1-G_3 with and without tree edges, a constrained solve and a
-        non-odd rule: values, witnesses and nodes per color count."""
+        non-odd rule: values, witnesses and nodes per color count, the
+        counts at most their ``ceiling`` from before twin floors."""
         cases = json.loads((DATA / "solver_nodes.json").read_text())["extra"]
         assert len(cases) == 11
         for case in cases:
@@ -364,3 +376,152 @@ class TestForwardCheck:
                 got = solved(solve, g, **kw)
             want = {k: case[k] for k in ("value", "witness", "nodes_by_t")}
             assert got == want, case["name"]
+            assert within(case["nodes_by_t"], case["ceiling"]), case["name"]
+
+
+ANY_COUNT = MultiplicityRule(1, frozenset({0}))  # rules nothing out: chi's oracle
+
+
+def false_twins(g):
+    """Pairs of distinct vertices with the same neighbourhood."""
+    return [(x, y) for x, y in combinations(range(g.n), 2)
+            if g.neighbors(x) == g.neighbors(y)]
+
+
+def with_twin_copies(n, p, copies, rng):
+    """A random graph on n vertices, then ``copies`` more vertices, each a
+    false twin of a random earlier one."""
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    for w in range(n, n + copies):
+        v = rng.randrange(w)
+        edges += [(u, w) for u in range(w) if (min(u, v), max(u, v)) in edges]
+    return Graph(n + copies, edges)
+
+
+def twin_rich_graphs():
+    star = [Graph(a + 1, [(0, i) for i in range(1, a + 1)]) for a in (1, 2, 3, 5)]
+    bipartite = [Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+                 for a, b in ((2, 2), (2, 3), (3, 3), (2, 5))]
+    isolated = [Graph(5, []), Graph(6, [(0, 1)]), Graph(7, [(0, 1), (1, 2)]),
+                Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3)])]
+    gk = [gen_gk(k, tree) for k in (1, 2) for tree in (False, True)]
+    rng = random.Random(41)
+    copied = [with_twin_copies(rng.randrange(2, 6), rng.random(), rng.randrange(1, 4), rng)
+              for _ in range(24)]
+    return star + bipartite + isolated + gk + copied
+
+
+def split_constraints(g, rng):
+    """A digraph on some of g's edges and tracked sets that hold one vertex
+    of a twin pair but not the other, plus a random set."""
+    d = DiGraph(g.n, [(u, v) if rng.random() < 0.5 else (v, u)
+                      for u, v in g.edge_list() if rng.random() < 0.6])
+    sets = [frozenset(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))]
+    for x, y in false_twins(g)[:3]:
+        others = [v for v in range(g.n) if v not in (x, y)]
+        sets.append(frozenset({x, *rng.sample(others, min(len(others), rng.randrange(3)))}))
+    return ConstraintSet((d,), tuple(sets))
+
+
+class TestTwinFloors:
+    """A vertex's color starts at its latest earlier false twin's color when
+    both lie in the same scopes.  The cut must keep every value and first
+    witness and may only remove nodes.  Each solve is checked against
+    exhaustive enumeration: ``enumerate_oracle`` for the notions it decides,
+    and every coloring up to renaming for the others.  It is also checked
+    against the same engine with its floors blanked out."""
+
+    @staticmethod
+    def runs(call, floors):
+        """call()'s result, as plain values, and the nodes of each engine
+        run it made, with the twin floors on or blanked out."""
+        nodes = []
+        real_run, real_init = solver._Engine.run, solver._Engine.__init__
+
+        def run(self, t):
+            before = self.nodes
+            try:
+                return real_run(self, t)
+            finally:
+                nodes.append(self.nodes - before)
+
+        def unfloored(self, *args, **kw):
+            real_init(self, *args, **kw)
+            self.floor = [self.n] * self.n
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver._Engine, "run", run)
+            if not floors:
+                mp.setattr(solver._Engine, "__init__", unfloored)
+            out = call()
+        if isinstance(out, tuple):
+            out = out[0], out[1].assignment
+        elif out is not None:
+            out = out.assignment
+        return out, nodes
+
+    def check(self, call):
+        """call()'s result, once it is shown equal to the unfloored engine's
+        with at most its nodes on every run."""
+        got, nodes = self.runs(call, floors=True)
+        want, ceiling = self.runs(call, floors=False)
+        assert got == want
+        assert within(nodes, ceiling)
+        return got
+
+    def test_strong_odd_and_chromatic(self):
+        for g in twin_rich_graphs():
+            for rule in (ODD_RULE, RULES[0], RULES[2]):
+                for solve, proper in ((chi_so_exact, True), (chi_iso_exact, False)):
+                    value, _ = self.check(lambda: solve(g, rule=rule))
+                    assert enumerate_oracle(g, value, rule, proper)
+                    assert not enumerate_oracle(g, value - 1, rule, proper)
+            value, _ = self.check(lambda: chi_exact(g))
+            assert enumerate_oracle(g, value, ANY_COUNT)
+            assert not enumerate_oracle(g, value - 1, ANY_COUNT)
+
+    def test_odd(self):
+        for g in twin_rich_graphs():
+            value, _ = self.check(lambda: chi_odd_exact(g))
+            for t in (value - 1, value):
+                exists = any(is_odd_coloring(g, c).ok for c in colorings_up_to_renaming(g.n, t))
+                assert exists == (t == value)
+
+    def test_feasible_under_both_notions(self):
+        for g in twin_rich_graphs():
+            for t in range(1, 5):
+                for rule in (ODD_RULE, RULES[0], RULES[2]):
+                    witness = self.check(lambda: feasible(g, t, rule))
+                    assert (witness is not None) == enumerate_oracle(g, t, rule)
+                witness = self.check(lambda: feasible(g, t, notion="odd"))
+                assert (witness is not None) == any(
+                    is_odd_coloring(g, c).ok for c in colorings_up_to_renaming(g.n, t))
+
+    def test_constrained_with_split_twins(self):
+        rng = random.Random(42)
+        for g in twin_rich_graphs():
+            constraints = split_constraints(g, rng)
+            (d,), sets = constraints.digraphs, constraints.sets
+
+            def ok(c, rule):
+                return (is_proper(g, c).ok and is_strong_odd_directed(d, c, rule).ok
+                        and all(is_strong_odd_on_set(c, m, rule) for m in sets))
+
+            for rule in (ODD_RULE, RULES[0], RULES[2]):
+                value, _ = self.check(lambda: chi_so_constrained(g, constraints, rule=rule))
+                for t in (value - 1, value):
+                    exists = any(ok(c, rule) for c in colorings_up_to_renaming(g.n, t))
+                    assert exists == (t == value)
+
+    def test_gadgets_beyond_the_oracle(self):
+        """G_3 with and without tree edges: 15 vertices, beyond enumeration.
+        Its sibling leaves are twins, so the floors cut nodes there."""
+        _, nodes = self.runs(lambda: chi_so_exact(gen_gk(3)), floors=True)
+        _, ceiling = self.runs(lambda: chi_so_exact(gen_gk(3)), floors=False)
+        assert sum(nodes) < sum(ceiling)
+        for tree in (False, True):
+            g = gen_gk(3, tree)
+            for solve in (chi_so_exact, chi_odd_exact, chi_exact):
+                self.check(lambda: solve(g))
+            self.check(lambda: chi_iso_exact(g))
+            self.check(lambda: feasible(g, 8))
