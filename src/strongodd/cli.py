@@ -209,7 +209,7 @@ def cmd_color(args) -> int:
     arcs = None
     if "arcs" in payload:
         arcs = graphio.digraph_from_json(payload["arcs"])
-    sets = [frozenset(m) for m in payload.get("sets", [])]
+    sets = graphio.sets_from_json(payload.get("sets", []))
     if args.algo == "outerplanar":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
         mask = _graph_from_payload(payload)
@@ -222,13 +222,13 @@ def cmd_color(args) -> int:
         out_graph = graphio.graph_to_json(build_ktree(seq))
     elif args.algo == "rtw":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        path_len = _int(_field(payload, "path_len"), "path_len")
+        path_len = graphio.json_int(_field(payload, "path_len"), "path_len")
         coloring = color_rtw(seq, path_len, arcs, sets)
         out_graph = graphio.graph_to_json(strong_product(build_ktree(seq), path_len))
     elif args.algo == "summand":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        path_len = _int(_field(payload, "path_len"), "path_len")
-        t = _int(_field(payload, "t"), "t")
+        path_len = graphio.json_int(_field(payload, "path_len"), "path_len")
+        t = graphio.json_int(_field(payload, "t"), "t")
         coloring = color_summand(seq, path_len, t, arcs, sets)
         out_graph = graphio.graph_to_json(join_with_clique(
             strong_product(build_ktree(seq), path_len), t))

@@ -31,6 +31,18 @@ def _malformed(what: str):
         raise FormatError(f"bad {what}: {exc}") from exc
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer: a float, bool or string is
+    malformed, not rounded or parsed."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _ids(values, what: str) -> tuple[int, ...]:
+    return tuple(json_int(v, what) for v in values)
+
+
 def parse_edge_list(text: str) -> Graph | DiGraph:
     lines = [ln for ln in (l.strip() for l in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
@@ -71,7 +83,8 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(obj: dict) -> Graph:
     with _malformed("graph object"):
-        return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        return Graph(json_int(obj["n"], "graph n"),
+                     [_ids(e, "graph vertex") for e in obj["edges"]])
 
 
 def digraph_to_json(d: DiGraph) -> dict:
@@ -80,12 +93,14 @@ def digraph_to_json(d: DiGraph) -> dict:
 
 def digraph_from_json(obj: dict) -> DiGraph:
     with _malformed("digraph object"):
-        return DiGraph(int(obj["n"]), [tuple(a) for a in obj["arcs"]])
+        return DiGraph(json_int(obj["n"], "digraph n"),
+                       [_ids(a, "digraph vertex") for a in obj["arcs"]])
 
 
 def hypergraph_from_json(obj: dict) -> Hypergraph:
     with _malformed("hypergraph object"):
-        return Hypergraph(int(obj["n"]), [list(h) for h in obj["hyperedges"]])
+        return Hypergraph(json_int(obj["n"], "hypergraph n"),
+                          [_ids(h, "hypergraph vertex") for h in obj["hyperedges"]])
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
@@ -94,7 +109,7 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 
 def plane_from_json(obj: dict) -> PlaneGraph:
     with _malformed("plane graph object"):
-        faces = [list(f) for f in obj["faces"]]
+        faces = [_ids(f, "face vertex") for f in obj["faces"]]
     return PlaneGraph(graph_from_json(obj), faces)
 
 
@@ -115,9 +130,10 @@ def ktree_to_json(seq: KTreeSeq) -> dict:
 def ktree_from_json(obj: dict) -> KTreeSeq:
     with _malformed("ktree object"):
         return KTreeSeq(
-            int(obj["k"]),
-            tuple(obj["initial"]),
-            tuple((int(s["v"]), frozenset(s["parents"])) for s in obj["steps"]),
+            json_int(obj["k"], "ktree k"),
+            _ids(obj["initial"], "ktree vertex"),
+            tuple((json_int(s["v"], "ktree vertex"),
+                   frozenset(_ids(s["parents"], "ktree vertex"))) for s in obj["steps"]),
         )
 
 
@@ -140,18 +156,24 @@ def sumdesc_to_json(desc: SumDesc) -> dict:
 def sumdesc_from_json(obj: dict) -> SumDesc:
     with _malformed("sum description"):
         return SumDesc(
-            int(obj["w"]),
-            int(obj["k"]),
-            int(obj["t"]),
+            json_int(obj["w"], "sum w"),
+            json_int(obj["k"], "sum k"),
+            json_int(obj["t"], "sum t"),
             tuple(
-                Summand(ktree_from_json(s["ktree"]), int(s["path_len"]))
+                Summand(ktree_from_json(s["ktree"]), json_int(s["path_len"], "path_len"))
                 for s in obj["summands"]
             ),
             tuple(
-                (tuple(a["host_clique"]), tuple(a["new_clique"]))
+                (_ids(a["host_clique"], "attachment vertex"),
+                 _ids(a["new_clique"], "attachment vertex"))
                 for a in obj.get("attachments", [])
             ),
         )
+
+
+def sets_from_json(obj) -> list[frozenset[int]]:
+    with _malformed("tracked sets"):
+        return [frozenset(_ids(m, "tracked set vertex")) for m in obj]
 
 
 def coloring_to_json(c: Coloring) -> dict:
@@ -163,7 +185,9 @@ def coloring_to_json(c: Coloring) -> dict:
 
 def coloring_from_json(obj: dict) -> Coloring:
     with _malformed("coloring object"):
-        return Coloring({int(v): int(col) for v, col in obj["colors"].items()})
+        # A JSON object's keys are strings; each must hold a JSON integer.
+        return Coloring({json_int(json.loads(v), "vertex"): json_int(col, "color")
+                         for v, col in obj["colors"].items()})
 
 
 def dumps(obj: dict) -> str:

@@ -263,9 +263,6 @@ class PlaneGraph:
         for e in graph.edges:
             if edge_count[e] != 2:
                 raise GraphError(f"edge {e} lies on {edge_count[e]} != 2 face boundaries")
-        for e in edge_count:
-            if e not in graph.edges:  # pragma: no cover - already caught above
-                raise GraphError(f"boundary edge {e} missing from graph")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "faces", faces)
 

@@ -4,14 +4,15 @@ A k-tree is described by its construction sequence: an initial k-clique
 (always vertices 0..k-1) followed by steps, each attaching one new vertex to
 an existing k-clique.  The sequence is the witness carried through every
 layered coloring algorithm; nothing here recognizes tree-like structure in a
-raw graph.
+raw graph.  Each BFS layer is colored inside its (k-1)-tree completion,
+which ``layer_completion`` builds in one pass over the slice's own steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable
 
 from .graphs import Graph, InputError
 
@@ -129,14 +130,14 @@ class Completion:
     """A (k-1)-tree completion of a layer slice of a k-tree.
 
     ``seq`` is the completion's own construction sequence in local ids;
-    ``to_local`` maps original vertices into it.  Local ids >= len(vertices)
-    that are not images of real vertices are padding.  ``host`` is the
-    completion's graph, built once for the slice-edge check.
+    ``to_local`` maps original vertices into it, in their order.  Local ids
+    >= len(vertices) are padding of an initial clique the slice does not
+    fill.  ``host`` is the completion's graph, built once for the slice-edge
+    check.
     """
 
     seq: KTreeSeq
     to_local: dict[int, int]
-    from_local: tuple[Optional[int], ...]
     host: Graph = field(compare=False, repr=False)
 
 
@@ -150,41 +151,27 @@ def layer_completion(seq: KTreeSeq, vertices: Iterable[int]) -> Completion:
     Vertices are processed in their original insertion order; each vertex's
     earlier neighbors inside the slice must form a clique of size at most
     k-1 (guaranteed for genuine BFS layers), which is extended to a full
-    attachment clique inside the completion being built.  Only the slice's
-    own steps are read; the k-tree itself is never built.
+    attachment clique inside the completion being built.  The first k-1
+    vertices form the initial clique, padded when the slice is smaller.
+    Only the slice's own steps are read; the k-tree itself is never built.
     """
     kk = seq.k - 1
     if kk < 0:
         raise CompletionError("layer completions need k >= 1")
     order = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(order)}
-
-    m = len(order)
-    if m <= kk:
-        # Slice fits inside the initial clique of the completion; pad it.
-        initial = tuple(range(kk))
-        comp_seq = KTreeSeq(kk, initial, ())
-        to_local = {v: i for i, v in enumerate(order)}
-        from_local = tuple(order[i] if i < m else None for i in range(kk))
-        return Completion(comp_seq, to_local, from_local, build_ktree(comp_seq))
-
     to_local = {v: i for i, v in enumerate(order)}
-    from_local = tuple(order)
     steps = []
-    # attach_clique[i] for attached local vertex i; initial clique is 0..kk-1
+    # attach[i] for attached local vertex i; initial clique is 0..kk-1
     attach: dict[int, frozenset[int]] = {}
-    for i in range(kk, m):
+    for i in range(kk, len(order)):
         v = order[i]
-        earlier = sorted(pos[u] for u in seq.earlier_neighbors(v) if u in pos)
-        if len(earlier) > kk:
+        s = {to_local[u] for u in seq.earlier_neighbors(v) if u in to_local}
+        if len(s) > kk:
             raise CompletionError(
-                f"vertex {v} has {len(earlier)} earlier in-slice neighbors > {kk}"
+                f"vertex {v} has {len(s)} earlier in-slice neighbors > {kk}"
             )
-        s = set(earlier)
         if not s or max(s) < kk:
             # Inside the initial clique (or empty): extend there.
-            if not s <= set(range(kk)):  # pragma: no cover - max(s) < kk implies this
-                raise CompletionError(f"vertex {v}: earlier neighbors not a clique")
             clique = set(s)
             for c in range(kk):
                 if len(clique) == kk:
@@ -207,11 +194,11 @@ def layer_completion(seq: KTreeSeq, vertices: Iterable[int]) -> Completion:
     comp_seq = KTreeSeq(kk, tuple(range(kk)), tuple(steps))
     # Sanity: the completion must contain every slice edge.
     comp_g = build_ktree(comp_seq)
-    for i, v in enumerate(order):
+    for v, i in to_local.items():
         for u in seq.earlier_neighbors(v):
-            if u in pos and not comp_g.has_edge(pos[u], i):  # pragma: no cover
+            if u in to_local and not comp_g.has_edge(to_local[u], i):  # pragma: no cover
                 raise CompletionError(f"slice edge ({u},{v}) missing from completion")
-    return Completion(comp_seq, to_local, from_local, comp_g)
+    return Completion(comp_seq, to_local, comp_g)
 
 
 @dataclass

@@ -396,7 +396,6 @@ def feasible(
     g: Graph,
     t: int,
     rule: MultiplicityRule = ODD_RULE,
-    proper: bool = True,
     notion: str = "strong_odd",
     budget: Optional[SolverBudget] = None,
 ) -> Optional[Coloring]:
@@ -408,7 +407,7 @@ def feasible(
         scopes = ((), _odd_scopes(g))
     else:
         raise InputError(f"unknown notion {notion!r}")
-    engine = _Engine(g, rule, proper, *scopes, node_limit=budget.node_limit,
+    engine = _Engine(g, rule, True, *scopes, node_limit=budget.node_limit,
                      deadline=time.monotonic() + budget.time_limit)
     try:
         assignment = engine.run(t)

@@ -4,13 +4,19 @@ A (w,k,t)-sum is described by an ordered list of summands, each the join of
 (k-tree x path) with a t-clique, glued along cliques of size at most w.  The
 description is the witness: every layered coloring routine consumes it
 directly and the validators check properties structurally against it.
+
+The sub-instances of the layered recursion are sums of chosen summands of a
+larger sum: ``restrict_sum`` keeps the summands a vertex set needs, and
+``layer_sum_desc`` the ones whose private part lies in one layer.  Both are
+built by ``_glue``, the one pass that glues chosen summands and renumbers
+their private vertices as ``build_sum`` numbers them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .graphs import Graph, InputError, join_with_clique, strong_product
 from .ktree import (
@@ -106,10 +112,6 @@ def build_sum(desc: SumDesc) -> Sum:
     vmaps: list[tuple[int, ...]] = [tuple(range(n))]
     private = [frozenset(range(n))]
     edges = set(graphs[0].edges)
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
 
     for i in range(1, len(desc.summands)):
         host, new = desc.attachments[i - 1]
@@ -125,7 +127,7 @@ def build_sum(desc: SumDesc) -> Sum:
                 raise InvalidAttachment(f"attachment {i}: host vertex {g} missing")
         for a in range(len(host)):
             for b in range(a + 1, len(host)):
-                if host[b] not in adj[host[a]]:
+                if tuple(sorted((host[a], host[b]))) not in edges:
                     raise InvalidAttachment(f"attachment {i}: host side is not a clique")
                 if not fg.has_edge(new[a], new[b]):
                     raise InvalidAttachment(f"attachment {i}: new side is not a clique")
@@ -138,17 +140,43 @@ def build_sum(desc: SumDesc) -> Sum:
             else:
                 vmap.append(n)
                 fresh.append(n)
-                adj[n] = set()
                 n += 1
         for u, v in fg.edges:
             gu, gv = vmap[u], vmap[v]
             edges.add((gu, gv) if gu < gv else (gv, gu))
-            adj[gu].add(gv)
-            adj[gv].add(gu)
         vmaps.append(tuple(vmap))
         private.append(frozenset(fresh))
 
     return Sum(desc, Graph(n, edges), tuple(vmaps), tuple(private))
+
+
+def _glue(s: Sum, kept: list[int], w: int,
+          keep: Callable[[int], bool]) -> tuple[Sum, dict[int, int]]:
+    """The (w,k,t)-sum of the summands ``kept`` of ``s``, in their order, each
+    glued to the ones before it along the pairs of its attachment whose host
+    vertex ``keep`` accepts; and the id there of every vertex private to a
+    kept summand, numbered as ``build_sum`` numbers it.
+
+    Every accepted host vertex must be private to an earlier kept summand.
+    """
+    desc = s.desc
+    new_id: dict[int, int] = {}
+    attachments = []
+    n = 0
+    for pos, i in enumerate(kept):
+        glued: dict[int, int] = {}  # local id -> id of the host vertex
+        if pos:
+            host, new = desc.attachments[i - 1]
+            glued = {l: new_id[g] for g, l in zip(host, new) if keep(g)}
+            attachments.append((tuple(glued.values()), tuple(glued)))
+        for l, g in enumerate(s.vmaps[i]):
+            if l not in glued:
+                if g in s.private[i]:
+                    new_id[g] = n
+                n += 1
+    sub_desc = SumDesc(w, desc.k, desc.t, tuple(desc.summands[i] for i in kept),
+                       tuple(attachments))
+    return build_sum(sub_desc), new_id
 
 
 def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
@@ -175,20 +203,8 @@ def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
                 todo.update(s.owner[g] for g in desc.attachments[i - 1][0])
     if len(chosen) == len(desc.summands):
         return s, {v: v for v in vertices}
-    kept = sorted(chosen)
-    to_sub: dict[int, int] = {}
-    attachments = []
-    for pos, i in enumerate(kept):
-        glued: tuple[int, ...] = ()
-        if pos:
-            host, glued = desc.attachments[i - 1]
-            attachments.append((tuple(to_sub[g] for g in host), glued))
-        for l, g in enumerate(s.vmaps[i]):
-            if l not in glued:
-                to_sub[g] = len(to_sub)
-    sub_desc = SumDesc(desc.w, desc.k, desc.t,
-                       tuple(desc.summands[i] for i in kept), tuple(attachments))
-    return build_sum(sub_desc), {v: to_sub[v] for v in vertices}
+    sub, new_id = _glue(s, sorted(chosen), desc.w, lambda g: True)
+    return sub, {v: new_id[v] for v in vertices}
 
 
 def natural_layering(desc: SumDesc) -> Layering:
@@ -270,64 +286,21 @@ def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
             f"layer {d} vertices belong to no summand privately"
             if layer else f"layer {d} is empty"
         )
-
-    sub_summands = []
-    sub_attachments = []
-    embed: dict[int, int] = {}
-    next_id = 0
-    for pos, i in enumerate(contributors):
-        summand = desc.summands[i]
-        n_local = summand.n(desc.t)
-        to_local = full.to_local(i)
-        if i == 0 or not desc.attachments[i - 1][0]:
-            clique_globals: list[int] = []
-        else:
-            host = desc.attachments[i - 1][0]
-            clique_globals = sorted(g for g in host if layer_of.get(g) == d)
-            if len(clique_globals) > max(desc.w - 1, 0):
-                raise LayerWitnessError(
-                    f"summand {i}: attachment meets layer {d} in {len(clique_globals)} "
-                    f"vertices > w-1={desc.w - 1}"
-                )
-        if pos == 0 and clique_globals:
+    w = max(desc.w - 1, 0)
+    for i in contributors:
+        inside = sum(layer_of.get(g) == d for g in desc.attachments[i - 1][0]) if i else 0
+        if inside > w:
             raise LayerWitnessError(
-                f"summand {i}: first contributor of layer {d} has in-layer attachment"
+                f"summand {i}: attachment meets layer {d} in {inside} vertices > w-1={desc.w - 1}"
             )
-        sub_summands.append(summand)
-        if pos > 0:
-            for g in clique_globals:
-                if g not in embed:
-                    raise LayerWitnessError(
-                        f"summand {i}: in-layer attachment vertex {g} not yet placed"
-                    )
-            sub_attachments.append(
-                (tuple(embed[g] for g in clique_globals),
-                 tuple(to_local[g] for g in clique_globals)))
-        # Assign witness ids for this copy: identified vertices keep theirs.
-        ident = set(clique_globals) if pos > 0 else set()
-        for l in range(n_local):
-            g = full.vmaps[i][l]
-            if g in ident:
-                continue
-            if g in layer and g in full.private[i]:
-                embed[g] = next_id
-            next_id += 1
 
-    sub_desc = SumDesc(max(desc.w - 1, 0), desc.k, desc.t,
-                       tuple(sub_summands), tuple(sub_attachments))
+    # An in-layer attachment vertex is private to a summand whose private
+    # part, checked above to lie in one layer, lies in layer d: an earlier
+    # contributor.  So each contributor glues onto the ones before it.
     try:
-        sub = build_sum(sub_desc)
+        sub, embed = _glue(full, contributors, w, lambda g: layer_of.get(g) == d)
     except InvalidAttachment as exc:
         raise LayerWitnessError(f"layer {d}: witness gluing failed: {exc}") from exc
-
-    # Re-derive the embedding from the actual witness id maps (robust to the
-    # id accounting above) and check it is a subgraph embedding.
-    embed = {}
-    for pos, i in enumerate(contributors):
-        to_local = full.to_local(i)
-        for g in sorted(full.summand_vertices(i)):
-            if layer_of.get(g) == d and g not in embed:
-                embed[g] = sub.vmaps[pos][to_local[g]]
     for v in layer:
         if v not in embed:
             raise LayerWitnessError(f"layer {d}: vertex {v} not covered by witness")
@@ -337,7 +310,7 @@ def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
         if u in layer and v in layer:
             if not sub.graph.has_edge(embed[u], embed[v]):
                 raise LayerWitnessError(f"layer {d}: edge ({u},{v}) missing from witness")
-    return LayerWitness(sub_desc, sub, embed)
+    return LayerWitness(sub.desc, sub, embed)
 
 
 def validate_natural_properties(desc: SumDesc, layering: Layering) -> PropertyReport:

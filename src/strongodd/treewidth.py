@@ -241,14 +241,12 @@ def _clique_color_raw(
 def clique_coloring(seq: KTreeSeq, cliques: Iterable[frozenset[int]]) -> dict[frozenset[int], int]:
     """Color a family of step cliques so that, around every vertex, each color
     class among the cliques containing it has odd size or is absent, and
-    every color class has odd size overall."""
+    every color class has odd size overall.  Every (k+1)-clique of a k-tree
+    is the clique of its latest vertex's step; any other set raises
+    ``NotAStepClique``."""
     cliques = [frozenset(q) for q in cliques]
-    g = build_ktree(seq)
-    for q in cliques:
-        if len(q) != seq.k + 1 or not g.is_clique(q):
-            raise NotAStepClique(f"{sorted(q)} is not a ({seq.k + 1})-clique")
-    return _finish(_clique_color_raw(seq, g, cliques), tw_clique_bound(seq.k), "clique",
-                   key=sorted)
+    return _finish(_clique_color_raw(seq, build_ktree(seq), cliques), tw_clique_bound(seq.k),
+                   "clique", key=sorted)
 
 
 def _tw_color(

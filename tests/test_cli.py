@@ -193,6 +193,39 @@ class TestExitCodes:
         assert code == 2
 
 
+ONE_VERTEX = {"ktree": {"k": 0, "initial": [], "steps": [{"v": 0, "parents": []}]},
+              "path_len": 3}
+EDGE_TREE = {"k": 1, "initial": [0], "steps": [{"v": 1, "parents": [0]}]}
+
+
+class TestJsonIntegers:
+    """Ids, counts and colors must be JSON integers: a float is not rounded
+    down or used as a vertex, and a bool is not a count."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["color", "--algo", "tw"], {"ktree": {"k": 2, "initial": [0.0, 1], "steps": []}}),
+        (["color", "--algo", "tw"],
+         {"ktree": {"k": 2, "initial": [0, 1], "steps": [{"v": 2, "parents": [0, 0.5]}]}}),
+        (["color", "--algo", "sum"],
+         {"sum": {"w": 1, "k": 0, "t": 0, "summands": [ONE_VERTEX, ONE_VERTEX],
+                  "attachments": [{"host_clique": [0.5], "new_clique": [0]}]}}),
+        (["solve"], {"graph": {"n": 3.9, "edges": []}}),
+        (["solve"], {"graph": {"n": True, "edges": []}}),
+        (["verify", "--notion", "proper"],
+         {"graph": {"n": 2, "edges": [[0, 1]]}, "colors": {"0": 0, "1": 1.7}}),
+        (["verify", "--notion", "proper"],
+         {"graph": {"n": 11, "edges": []}, "colors": {**{str(v): 0 for v in range(10)}, "1_0": 0}}),
+        (["color", "--algo", "tw"], {"ktree": EDGE_TREE, "sets": [[0.5]]}),
+        (["color", "--algo", "tw"], {"ktree": EDGE_TREE, "sets": [5]}),
+        (["color", "--algo", "rtw"], {"ktree": EDGE_TREE, "path_len": 2.0}),
+        (["color", "--algo", "summand"], {"ktree": EDGE_TREE, "path_len": 2, "t": "1"}),
+    ])
+    def test_non_integer_is_malformed_input(self, argv, payload, capsys):
+        code, out = invoke(argv, json.dumps(payload))
+        assert code == 2 and out == ""
+        assert "error: " in capsys.readouterr().err
+
+
 STAR = graphio.ktree_to_json(KTreeSeq.make(1, [(1, [0]), (2, [0])]))
 PATH = Summand(KTreeSeq.make(0, [(0, [])]), 3)
 COLOR_INPUTS = {

@@ -168,4 +168,4 @@ class TestLayerCompletion:
         seq, _ = gen_random_partial_ktree(3, 5, 1.0, seed=1)
         comp = layer_completion(seq, [3])
         assert comp.seq.n == 2  # padded up to the (k-1)-tree initial clique
-        assert comp.from_local[1] is None
+        assert comp.to_local == {3: 0}

@@ -1,10 +1,12 @@
 """Clique sums, natural layerings, and layer witnesses."""
 
+import hashlib
 import random
 
 import pytest
 
 from strongodd.experiments import random_sum_desc
+from strongodd.gadgets import gen_random_partial_ktree
 from strongodd.graphs import Graph
 from strongodd.ktree import KTreeSeq, Layering
 from strongodd.sums import (
@@ -221,3 +223,97 @@ class TestRestrictSum:
         assert len(sub.desc.summands) == 2 and sub.graph.n == 5 and to_sub == {4: 4}
         assert restrict_sum(glued, range(glued.graph.n))[0] is glued
         assert restrict_sum(glued, [])[0].desc.summands == (tri,)
+
+
+def _random_clique(g: Graph, rng: random.Random, size: int) -> list[int]:
+    """A clique of ``g`` with at most ``size`` vertices, grown from a random
+    vertex by random common neighbors, in the order it was grown."""
+    if not g.n or size < 1:
+        return []
+    clique = [rng.randrange(g.n)]
+    common = set(g.neighbors(clique[0]))
+    while len(clique) < size and common:
+        v = rng.choice(sorted(common))
+        clique.append(v)
+        common &= g.neighbors(v)
+    return clique
+
+
+def fuzz_sum(rng: random.Random):
+    """A built (w,k,t)-sum glued along random cliques of up to w vertices,
+    the pairs of each attachment in random order."""
+    w, k, t = rng.randrange(0, 5), rng.randrange(0, 3), rng.randrange(0, 3)
+    summands, attachments = [], []
+    partial = None
+    for _ in range(rng.randrange(1, 7)):
+        seq, _ = gen_random_partial_ktree(k, rng.randrange(0 if k or t else 1, 4), 1.0,
+                                          seed=rng.randrange(1 << 30))
+        sm = Summand(seq, rng.randrange(1, 4))
+        if partial:
+            host = _random_clique(partial.graph, rng, rng.randrange(0, w + 1))
+            new = _random_clique(sm.graph(t), rng, len(host))
+            pairs = list(zip(host, new))
+            rng.shuffle(pairs)
+            attachments.append((tuple(h for h, _ in pairs), tuple(l for _, l in pairs)))
+        summands.append(sm)
+        partial = build_sum(SumDesc(w, k, t, tuple(summands), tuple(attachments)))
+    return partial
+
+
+def fuzz_layering(s, rng: random.Random) -> Layering:
+    """The natural layering of ``s`` (w >= 1), or each summand's private part
+    put in a random layer, or each vertex put in a random layer; then, at
+    random, a few vertices dropped and a few put in a second layer."""
+    r = rng.random()
+    if s.desc.w >= 1 and r < 0.4:
+        layers = [set(x) for x in natural_layering(s.desc).layers]
+    else:
+        layers = [set() for _ in range(rng.randrange(1, 5))]
+        for priv in s.private:
+            d = rng.randrange(len(layers))
+            for v in priv:
+                layers[d if r < 0.9 else rng.randrange(len(layers))].add(v)
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        v = rng.randrange(s.graph.n)
+        if rng.random() < 0.5:
+            for x in layers:
+                x.discard(v)
+        else:
+            layers[rng.randrange(len(layers))].add(v)
+    return Layering(tuple(frozenset(x) for x in layers), "natural")
+
+
+def _sum_record(s) -> str:
+    return (f"w={s.desc.w} n={s.graph.n} e={sorted(s.graph.edges)} vmaps={s.vmaps} "
+            f"att={[sorted(zip(h, l)) for h, l in s.desc.attachments]}")
+
+
+LAYER_DIGEST = "81ba8f9e81900e13b8e210022bd94359023ba109d1a1a0b53d57bfb0cb467fed"
+
+
+class TestGluingFuzz:
+    def test_outcomes_match_pin(self):
+        """Digest recorded from an earlier implementation of the layer
+        witnesses and restrictions: for every fuzzed sum and layering, each
+        layer's witness (its graph, id maps, attachments as sets of pairs,
+        width and embedding) or the exception type and message, and each
+        restriction's sum and id map."""
+        rng = random.Random(18)
+        h = hashlib.sha256()
+        for case in range(800):
+            s = fuzz_sum(rng)
+            layering = fuzz_layering(s, rng)
+            for d in range(len(layering)):
+                try:
+                    wit = layer_sum_desc(s, layering, d)
+                except Exception as e:
+                    out = f"{type(e).__name__}: {e}"
+                else:
+                    out = f"{_sum_record(wit.sum)} embed={sorted(wit.embed.items())}"
+                    assert wit.desc is wit.sum.desc
+                h.update(f"{case}:{d}:{out}\n".encode())
+            vs = [v for v in range(s.graph.n) if rng.random() < 0.3]
+            sub, to_sub = restrict_sum(s, vs)
+            out = f"{_sum_record(sub)} att={sub.desc.attachments} to_sub={sorted(to_sub.items())}"
+            h.update(f"{case}:r:{out}\n".encode())
+        assert h.hexdigest() == LAYER_DIGEST
