@@ -217,7 +217,7 @@ def cmd_color(args) -> int:
         out_graph = graphio.graph_to_json(mask)
     elif args.algo == "tw":
         seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        digraphs = [graphio.digraph_from_json(d) for d in payload.get("digraphs", [])]
+        digraphs = graphio.digraphs_from_json(payload.get("digraphs", []))
         coloring = color_tw(seq, digraphs, sets)
         out_graph = graphio.graph_to_json(build_ktree(seq))
     elif args.algo == "rtw":

@@ -97,6 +97,11 @@ def digraph_from_json(obj: dict) -> DiGraph:
                        [_ids(a, "digraph vertex") for a in obj["arcs"]])
 
 
+def digraphs_from_json(obj) -> list[DiGraph]:
+    with _malformed("digraph list"):
+        return [digraph_from_json(d) for d in obj]
+
+
 def hypergraph_from_json(obj: dict) -> Hypergraph:
     with _malformed("hypergraph object"):
         return Hypergraph(json_int(obj["n"], "hypergraph n"),
@@ -185,9 +190,12 @@ def coloring_to_json(c: Coloring) -> dict:
 
 def coloring_from_json(obj: dict) -> Coloring:
     with _malformed("coloring object"):
+        colors = obj["colors"]
+        if type(colors) is not dict:
+            raise FormatError(f"coloring colors must be an object, not {colors!r}")
         # A JSON object's keys are strings; each must hold a JSON integer.
         return Coloring({json_int(json.loads(v), "vertex"): json_int(col, "color")
-                         for v, col in obj["colors"].items()})
+                         for v, col in colors.items()})
 
 
 def dumps(obj: dict) -> str:

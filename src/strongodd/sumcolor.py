@@ -3,13 +3,13 @@
 The summand coloring reuses the product coloring, feeding the apex
 out-neighborhoods in as extra tracked sets and spending t fresh colors on
 the apexes.  The sum coloring recurses on w along the natural layering by
-running the layered skeleton ``treewidth._layered_color`` with per-layer sum
-witnesses in place of (k-1)-tree completions, and with a clique coloring of
-parent cliques driven by representative vertices inside their host summands.
-Each subinstance is the part of its layer's witness that its vertices need
-(``sums.restrict_sum``), and each group of cliques (one host summand, one
-type) is colored on its own summand, in that summand's local ids, never on
-the whole layer sum.
+running the layered skeleton ``treewidth._layered_color`` with (w-1,k,t)-sum
+subinstances in place of (k-1)-tree completions, and with a clique coloring
+of parent cliques driven by representative vertices inside their host
+summands.  Each subinstance is the summands its vertices need, glued
+straight from the whole sum (``sums._owner_closure``).  Each group of
+cliques (one host summand, one type) is colored on its own summand, in that
+summand's local ids, never on the whole layer sum.
 """
 
 from __future__ import annotations
@@ -24,15 +24,7 @@ from .graphs import _finish, check_constraints
 from .graphs import join_with_clique, product_coords, product_vertex, strong_product
 from .ktree import KTreeSeq, build_ktree
 from .rowtw import _rtw_color
-from .sums import (
-    LayerWitness,
-    Sum,
-    SumDesc,
-    _natural_layering,
-    build_sum,
-    layer_sum_desc,
-    restrict_sum,
-)
+from .sums import Sum, SumDesc, _natural_layering, _owner_closure, build_sum
 from .treewidth import TypeMatrix, _base_sets_coloring, _color_by_reps, _layered_color
 from .treewidth import _pull_back, _restrict_to
 
@@ -217,14 +209,15 @@ def _sum_color(
     layers = layering.layers
     if not any(layers):
         return {}
-    witnesses: dict[int, LayerWitness] = {
-        d: layer_sum_desc(s, layering, d) for d in range(len(layers)) if layers[d]
-    }
+    layer_of = layering.layer_of()
 
     def witness(d: int, vs):
-        wit = witnesses[d]
-        sub, to_sub = restrict_sum(wit.sum, (wit.embed[v] for v in vs))
-        return sub, sub.graph.n, {v: to_sub[wit.embed[v]] for v in vs}
+        # The summands ``vs`` need, glued along in-layer pairs.  An empty
+        # ``vs`` (parentless components, which need k = t = 0) gets summand
+        # 0: its empty clique takes the color of a lone tracked vertex of a
+        # 0-tree layer, whatever the summand's shape.
+        sub, to_sub = _owner_closure(s, vs, desc.w - 1, lambda g: layer_of[g] == d)
+        return sub, sub.graph.n, to_sub
 
     def color(sub: Sum, digraphs: list[DiGraph], sub_sets):
         return _sum_color(sub, *digraphs, sub_sets)

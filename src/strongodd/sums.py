@@ -5,11 +5,11 @@ A (w,k,t)-sum is described by an ordered list of summands, each the join of
 description is the witness: every layered coloring routine consumes it
 directly and the validators check properties structurally against it.
 
-The sub-instances of the layered recursion are sums of chosen summands of a
-larger sum: ``restrict_sum`` keeps the summands a vertex set needs, and
-``layer_sum_desc`` the ones whose private part lies in one layer.  Both are
-built by ``_glue``, the one pass that glues chosen summands and renumbers
-their private vertices as ``build_sum`` numbers them.
+The sub-instances of the layered recursion are sums of the summands a
+vertex set needs (``_owner_closure``), and the N3 witness of a layer
+(``layer_sum_desc``) the sum of those whose private part lies in it.  Both
+are built by ``_glue``, the one pass that glues chosen summands and
+renumbers their private vertices as ``build_sum`` numbers them.
 """
 
 from __future__ import annotations
@@ -179,17 +179,17 @@ def _glue(s: Sum, kept: list[int], w: int,
     return build_sum(sub_desc), new_id
 
 
-def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
-    """The sum of the summands of ``s`` needed to cover ``vertices``, and
+def _owner_closure(s: Sum, vertices: Iterable[int], w: int,
+                   keep: Callable[[int], bool]) -> tuple[Sum, dict[int, int]]:
+    """The (w,k,t)-sum of the summands of ``s`` needed to cover ``vertices``,
+    glued along the attachment pairs whose host vertex ``keep`` accepts, and
     the map of each given vertex to its id there.
 
-    It keeps, in their order, the summands whose private parts meet
-    ``vertices`` and, recursively, the owners of their attachment vertices,
-    so every kept attachment glues onto kept summands and the result is a
-    (w,k,t)-sum again.  The earliest summand holding an edge has an endpoint
-    private to it, so every edge of ``s`` inside ``vertices`` is kept.  An
-    empty ``vertices`` keeps the first summand alone, as a sum has at least
-    one.  The cost follows the kept summands, not ``s``.
+    It keeps, in their order, the owners of ``vertices`` and, recursively,
+    the owners of their accepted attachment vertices, so every kept pair
+    glues onto a kept summand.  An empty ``vertices`` keeps the first summand
+    alone, as a sum has at least one.  The cost follows the kept summands,
+    not ``s``.
     """
     desc = s.desc
     vertices = list(vertices)
@@ -200,11 +200,18 @@ def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
         if i not in chosen:
             chosen.add(i)
             if i:
-                todo.update(s.owner[g] for g in desc.attachments[i - 1][0])
-    if len(chosen) == len(desc.summands):
+                todo.update(s.owner[g] for g in desc.attachments[i - 1][0] if keep(g))
+    if w == desc.w and len(chosen) == len(desc.summands):  # ``restrict_sum`` of all of ``s``
         return s, {v: v for v in vertices}
-    sub, new_id = _glue(s, sorted(chosen), desc.w, lambda g: True)
+    sub, new_id = _glue(s, sorted(chosen), w, keep)
     return sub, {v: new_id[v] for v in vertices}
+
+
+def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
+    """``_owner_closure`` along whole attachments: the earliest summand
+    holding an edge has an endpoint private to it, so every edge of ``s``
+    inside ``vertices`` is kept."""
+    return _owner_closure(s, vertices, s.desc.w, lambda g: True)
 
 
 def natural_layering(desc: SumDesc) -> Layering:
@@ -255,7 +262,8 @@ class LayerWitness:
 
 
 def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
-    """Witness that layer ``d`` induces a subgraph of a (w-1,k,t)-sum.
+    """Witness that layer ``d`` induces a subgraph of a (w-1,k,t)-sum: the
+    N3 check of ``validate_natural_properties``.
 
     Glues a full copy of every summand whose private vertices lie in the
     layer, along the parts of its attachment clique that fall inside the
@@ -296,20 +304,15 @@ def layer_sum_desc(full: Sum, layering: Layering, d: int) -> LayerWitness:
 
     # An in-layer attachment vertex is private to a summand whose private
     # part, checked above to lie in one layer, lies in layer d: an earlier
-    # contributor.  So each contributor glues onto the ones before it.
-    try:
-        sub, embed = _glue(full, contributors, w, lambda g: layer_of.get(g) == d)
-    except InvalidAttachment as exc:
-        raise LayerWitnessError(f"layer {d}: witness gluing failed: {exc}") from exc
+    # contributor.  So each contributor glues onto the ones before it along
+    # at most w-1 pairs, and ``_glue``'s numbering embeds the layer
+    # injectively.  An in-layer edge's earliest summand owns one end, so it
+    # contributes, and holds the other end privately or glues it along an
+    # in-layer pair: the witness holds every in-layer edge.
+    sub, embed = _glue(full, contributors, w, lambda g: layer_of.get(g) == d)
     for v in layer:
         if v not in embed:
             raise LayerWitnessError(f"layer {d}: vertex {v} not covered by witness")
-    if len(set(embed[v] for v in layer)) != len(layer):
-        raise LayerWitnessError(f"layer {d}: witness embedding is not injective")
-    for u, v in full.graph.edges:
-        if u in layer and v in layer:
-            if not sub.graph.has_edge(embed[u], embed[v]):
-                raise LayerWitnessError(f"layer {d}: edge ({u},{v}) missing from witness")
     return LayerWitness(sub.desc, sub, embed)
 
 

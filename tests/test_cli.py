@@ -226,6 +226,20 @@ class TestJsonIntegers:
         assert "error: " in capsys.readouterr().err
 
 
+class TestJsonShapes:
+    """A field of the wrong JSON kind is malformed input, not a traceback."""
+
+    @pytest.mark.parametrize("argv, payload", [
+        (["verify", "--notion", "proper"], {"graph": {"n": 2, "edges": []}, "colors": [0, 1]}),
+        (["verify", "--notion", "proper"], {"graph": {"n": 2, "edges": []}, "colors": "01"}),
+        (["color", "--algo", "tw"], {"ktree": EDGE_TREE, "digraphs": 5}),
+    ])
+    def test_wrong_kind_is_malformed_input(self, argv, payload, capsys):
+        code, out = invoke(argv, json.dumps(payload))
+        assert code == 2 and out == ""
+        assert "error: " in capsys.readouterr().err
+
+
 STAR = graphio.ktree_to_json(KTreeSeq.make(1, [(1, [0]), (2, [0])]))
 PATH = Summand(KTreeSeq.make(0, [(0, [])]), 3)
 COLOR_INPUTS = {

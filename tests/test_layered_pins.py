@@ -16,7 +16,7 @@ from strongodd.graphs import join_with_clique, strong_product
 from strongodd.ktree import build_ktree
 from strongodd.rowtw import color_rtw
 from strongodd.sumcolor import color_sum, color_summand, sum_clique_coloring
-from strongodd.sums import build_sum
+from strongodd.sums import Summand, SumDesc, build_sum, natural_layering
 from strongodd.treewidth import clique_coloring, color_tw
 
 PINS = Path(__file__).parent / "data" / "layered_colorings.json"
@@ -103,3 +103,78 @@ class TestPinnedColorings:
         got = {name: digest() for name, digest in pinned_corpus()}
         assert len(got) == 64
         assert got == pins
+
+
+def _grown_clique(g, rng: random.Random, size: int, pool) -> list[int]:
+    """A clique of ``g`` with at most ``size`` vertices of ``pool``, grown
+    from a random one by random common neighbors, in the order grown."""
+    pool = sorted(pool)
+    if not pool or size < 1:
+        return []
+    clique = [rng.choice(pool)]
+    common = g.neighbors(clique[0]) & set(pool)
+    while len(clique) < size and common:
+        v = rng.choice(sorted(common))
+        clique.append(v)
+        common &= g.neighbors(v)
+    return clique
+
+
+def fuzz_sum_desc(w: int, k: int, t: int, n_summands: int, rng: random.Random,
+                  chain: bool = False) -> SumDesc:
+    """A (w,k,t)-sum glued along random cliques of up to w vertices, the
+    pairs of each attachment shuffled.  In a chain every summand is glued
+    along a w-clique private to the one before, so each adds a layer."""
+    summands, attachments, partial = [], [], None
+    for _ in range(n_summands):
+        seq, _ = gen_random_partial_ktree(k, rng.randrange(0 if k or t else 1, 4), 1.0,
+                                          seed=rng.randrange(1 << 30))
+        sm = Summand(seq, rng.randrange(2 if chain else 1, 4))
+        if partial:
+            pool = partial.private[-1] if chain else range(partial.graph.n)
+            host = _grown_clique(partial.graph, rng, w if chain else rng.randrange(w + 1), pool)
+            new = _grown_clique(sm.graph(t), rng, len(host), range(sm.n(t)))
+            pairs = list(zip(host, new))
+            rng.shuffle(pairs)
+            attachments.append((tuple(h for h, _ in pairs), tuple(l for _, l in pairs)))
+        summands.append(sm)
+        partial = build_sum(SumDesc(w, k, t, tuple(summands), tuple(attachments)))
+    return partial.desc
+
+
+def sum_fuzz_corpus():
+    """Seeded constrained sums with w <= 3, k <= 2 and t <= 1, every fourth
+    with k = t = 0 (whose layers have parentless components), then two
+    chain sums of 100 summands."""
+    rng = random.Random(19)
+    for case in range(400):
+        w, k, t = rng.randrange(4), rng.randrange(3), rng.randrange(2)
+        if case % 4 == 0:
+            k = t = 0
+        yield fuzz_sum_desc(w, k, t, rng.randrange(1, 7), rng), rng
+    for w, k, t in ((1, 0, 0), (2, 1, 1)):
+        yield fuzz_sum_desc(w, k, t, 100, rng, chain=True), rng
+
+
+SUM_FUZZ_DIGEST = "7f6afe7ff87ecdfc8277d25034911cd907233230fae314daba3e6cbeca3f4cd1"
+
+
+class TestPinnedSumFuzz:
+    def test_color_sum_outcomes_match_pin(self):
+        """Digest recorded from an earlier implementation of the sum
+        sub-instances: every fuzzed sum's coloring, structured tuples
+        included, or the exception type and message."""
+        h = hashlib.sha256()
+        deep = 0
+        for case, (desc, rng) in enumerate(sum_fuzz_corpus()):
+            g = build_sum(desc).graph
+            arcs = random_subdigraph(g, rng)
+            sets = random_subsets(g.n, rng.randrange(3), rng)
+            try:
+                out = coloring_digest(color_sum(desc, arcs, sets))
+            except Exception as e:
+                out = f"{type(e).__name__}: {e}"
+            h.update(f"{case}:{out}\n".encode())
+            deep += desc.w >= 1 and len(natural_layering(desc)) >= 96
+        assert deep == 2
+        assert h.hexdigest() == SUM_FUZZ_DIGEST
