@@ -148,9 +148,12 @@ def cmd_solve(args) -> int:
     try:
         value, witness = solver(g, budget, stats=stats)
     except BudgetExceeded as exc:
-        _emit({"status": "budget", "lower_bound": exc.lower_bound,
+        out = {"status": "budget", "lower_bound": exc.lower_bound,
                "upper_bound": exc.upper_bound, "nodes": exc.nodes,
-               "nodes_by_t": stats.nodes_by_t})
+               "nodes_by_t": stats.nodes_by_t}
+        if exc.witness is not None:
+            out["witness"] = graphio.coloring_to_json(exc.witness)
+        _emit(out)
         return 1
     _emit({
         "value": value,

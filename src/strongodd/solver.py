@@ -15,28 +15,42 @@ no recursion-depth limit.
 
 The search branches on the vertices in a fixed order and tries colors in
 increasing order, opening at most one new color per vertex.  It thus visits
-colorings in lexicographic order, and its first witness is the least valid
-coloring L.  Cutting a dead subtree keeps L, so it keeps the first witness.
+colorings in lexicographic order.  A dead subtree holds no valid coloring,
+so cutting it loses no witness.
+
+One pass finds the value, as branch and bound does for the chromatic number
+(Brown 1972; Brelaz 1979).  The search starts from a bound on the colors, by
+default one per vertex.  When it completes a coloring with k colors, it
+yields it and lowers the bound to k - 1.  Every coloring that keeps this
+one's colors down to the depth that opened color k - 1 has k colors, so the
+search backtracks past that depth and goes on.  A subtree refuted under a
+bound stays refuted under a lower one, so no part of the tree is searched
+twice.  Let L_k be the least valid coloring with at most k colors.  Each
+yield is the least valid coloring within the bound in force, so a yield
+with k colors is L_k.  L_(k-1) differs from L_k and L_k is least among the
+colorings with at most k colors, so L_(k-1) comes after it, and it is the
+next yield.  The last yield is L_v for the value v, the witness a search
+bounded by v alone finds first, and the pass ends by refuting v - 1.
 
 One more cut breaks twin symmetry.  Call x and y twins if they have the same
 neighbours (so they are not adjacent) and lie in exactly the same rule
 scopes and odd scopes.  Swapping the colors of x and y then maps every valid
-coloring to a valid one.  Let x come before y, and suppose L[x] > L[y].
-Colors open in order, so the smaller L[y] first occurs before x.  Swap the
-colors of x and y, then rename the colors in order of first use.  Every
-vertex before x keeps its color, and x gets L[y] < L[x].  The result is a
-valid coloring below L, which is impossible.  So L[x] <= L[y] for every
-such pair, and the cut is: y may take c only if c >= color(x), where x is
-the latest vertex before y with y's neighbours, if x is y's twin.  It keeps
-L, so values, first witnesses and infeasibility proofs are unchanged; it
-only removes nodes.
+coloring to a valid one with as many colors.  Let x come before y, and let C
+be a valid coloring with C[x] > C[y].  Colors open in order, so the smaller
+C[y] first occurs before x.  Swap the colors of x and y, then rename the
+colors in order of first use.  Every vertex before x keeps its color, and x
+gets C[y] < C[x].  The result is a valid coloring below C with as many
+colors, so C is no L_k.  The cut is thus: y may take c only if
+c >= color(x), where x is the latest vertex before y with y's neighbours,
+if x is y's twin.  It keeps every L_k, so values, witnesses and
+infeasibility proofs are unchanged; it only removes nodes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Coloring, DiGraph, Graph, InputError, MultiplicityRule, ODD_RULE
 from .graphs import check_constraints, square
@@ -66,10 +80,14 @@ class ConstraintSet:
 
 
 class BudgetExceeded(Exception):
-    """Search ran out of nodes or time.
+    """Search ran out of nodes or time, or found no coloring within
+    ``max_colors``.
 
-    Carries the largest color count proven infeasible (``lower_bound`` is one
-    more than that), the best feasible value found if any, and its witness.
+    ``lower_bound`` is ``max_colors + 1`` when the cap was refuted, and 1
+    after a node or time budget-out: one pass proves no color count
+    infeasible before it ends.  ``upper_bound`` and ``witness`` come from
+    whichever has fewer colors, the search's last witness or the verified
+    fallback coloring; both are None when there is neither.
     """
 
     def __init__(self, lower_bound: int, upper_bound: Optional[int],
@@ -89,7 +107,12 @@ class TooLarge(Exception):
 
 @dataclass
 class SolveStats:
-    nodes: int = 0  # over all color counts tried
+    """Nodes and seconds of one solve.  ``nodes_by_t[t]`` counts the nodes
+    spent while the color bound was t: first the starting bound, then
+    k - 1 after each witness with k colors, and last value - 1, whose
+    nodes refute it."""
+
+    nodes: int = 0
     seconds: float = 0.0
     nodes_by_t: dict[int, int] = field(default_factory=dict)
 
@@ -120,12 +143,12 @@ def _membership(scopes: list[frozenset[int]], pos: dict[int, int], n: int):
 
 
 class _Engine:
-    """Feasibility search over fixed scopes, one color count per ``run``.
+    """Branch-and-bound search over fixed scopes.
 
     The branching order and the scope membership are set up once; ``nodes``
-    counts depth entries over every run, against one ``node_limit``.  ``run``
-    keeps its own stack, so it has no recursion-depth limit, and checks each
-    color against every scope of its vertex before it commits the color.
+    counts depth entries against one ``node_limit``.  ``run`` keeps its own
+    stack, so it has no recursion-depth limit, and checks each color against
+    every scope of its vertex before it commits the color.
     """
 
     def __init__(
@@ -174,21 +197,27 @@ class _Engine:
                     self.floor[v] = x
                 last[nbrs[v]] = v
 
-    def run(self, t: int) -> Optional[dict[int, int]]:
+    def run(self, bound: int) -> Iterator[dict[int, int]]:
+        """Valid colorings with at most ``bound`` colors, each with fewer
+        colors than the one before: after a coloring with k colors the bound
+        is k - 1.  Each is the least coloring within its bound (module
+        docstring); the search ends once the last bound is refuted."""
         n, order, adj, proper = self.n, self.order, self.adj, self.proper
         rule_of, odd_of, step, floor = self.rule_of, self.odd_of, self.step, self.floor
         node_limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
         if not n:
-            return {}
+            yield {}
+            return
+        n_rule, n_odd = self.n_rule, self.n_odd
         color = [-1] * n + [0]
         color_of = color.__getitem__
         # counts[c][s]: members of rule scope s colored c; deficit[s]: its
         # repair cost (module docstring); odd[s]: colors with an odd count
-        # in odd scope s
-        counts = [[0] * self.n_rule for _ in range(t)]
-        deficit = [0] * self.n_rule
-        odd_counts = [[0] * self.n_odd for _ in range(t)]
-        odd = [0] * self.n_odd
+        # in odd scope s.  The per-color lists grow as colors are opened.
+        counts = [[0] * n_rule]
+        deficit = [0] * n_rule
+        odd_counts = [[0] * n_odd]
+        odd = [0] * n_odd
         # Per depth: the colors used above it and those its earlier neighbours
         # hold.  Its vertex keeps the last color tried there, -1 on entry.
         used = [0] * n
@@ -220,7 +249,7 @@ class _Engine:
                         odd[s] -= -1 if k & 1 else 1
                     c += 1
                 bad = forbidden[idx]
-                for c in range(c, min(used[idx] + 1, t)):
+                for c in range(c, min(used[idx] + 1, bound)):
                     if c in bad:
                         continue
                     cnt = counts[c]
@@ -237,7 +266,7 @@ class _Engine:
                             break
                 else:
                     if not idx:
-                        return None
+                        return
                     idx -= 1
                     continue
                 color[v] = c
@@ -252,9 +281,27 @@ class _Engine:
                     cnt[s] = k + 1
                     odd[s] += -1 if k & 1 else 1
                 idx += 1
-                if idx == n:
-                    return {v: color[v] for v in range(n)}
-                used[idx] = max(used[idx - 1], c + 1)
+                u = used[idx - 1]
+                if c == u:
+                    u += 1
+                    if u == len(counts):
+                        counts.append([0] * n_rule)
+                        odd_counts.append([0] * n_odd)
+                if idx < n:
+                    used[idx] = u
+                    continue
+                self.nodes = nodes
+                yield {v: color[v] for v in range(n)}
+                # Every coloring that keeps this one's colors down to the depth
+                # that opened color u - 1 uses that color, over the new bound.
+                # The depths after that one, where ``used`` is u, get no color
+                # to try, so the search backtracks to it at once.
+                bound = u - 1
+                i = n - 1
+                while used[i] == u:
+                    used[i] = -1
+                    i -= 1
+                idx -= 1
         finally:
             self.nodes = nodes
 
@@ -299,8 +346,9 @@ def _solve_min(
     stats: Optional[SolveStats] = None,
     fallback: Callable[[], Optional[Coloring]] = lambda: None,
 ) -> tuple[int, Coloring]:
-    """Least t with a coloring.  ``fallback`` gives a verified coloring, or
-    None, for ``BudgetExceeded`` to carry as its upper bound and witness."""
+    """Least t with a coloring: the last witness of one search whose bound
+    falls at each witness.  ``fallback`` gives a verified coloring, or None,
+    for ``BudgetExceeded`` to weigh against the search's last witness."""
     budget = budget or SolverBudget()
     max_colors = budget.max_colors if budget.max_colors is not None else max(g.n, 1)
     start = time.monotonic()
@@ -308,26 +356,33 @@ def _solve_min(
         return 0, Coloring({})
     engine = _Engine(g, rule, proper, rule_scopes, odd_scopes,
                      node_limit=budget.node_limit, deadline=start + budget.time_limit)
+    stats = SolveStats() if stats is None else stats
+    best: Optional[Coloring] = None
+    bound, before = max_colors, 0
+
+    def tally():
+        stats.nodes_by_t[bound] = engine.nodes - before
+        stats.nodes = engine.nodes
+        stats.seconds = time.monotonic() - start
 
     def exceeded(lower_bound: int) -> BudgetExceeded:
-        witness = fallback()
+        found = [c for c in (best, fallback()) if c is not None]
+        witness = min(found, key=Coloring.num_colors, default=None)
         upper = witness.num_colors() if witness is not None else None
         return BudgetExceeded(lower_bound, upper, witness, engine.nodes)
 
-    for t in range(1, max_colors + 1):
-        before = engine.nodes
-        try:
-            assignment = engine.run(t)
-        except _Stop:
-            raise exceeded(t) from None
-        finally:
-            if stats is not None:
-                stats.nodes_by_t[t] = engine.nodes - before
-                stats.nodes = engine.nodes
-                stats.seconds = time.monotonic() - start
-        if assignment is not None:
-            return t, Coloring(assignment)
-    raise exceeded(max_colors + 1)
+    try:
+        for assignment in engine.run(max_colors):
+            tally()
+            best = Coloring(assignment)
+            bound, before = best.num_colors() - 1, engine.nodes
+    except _Stop:
+        raise exceeded(1) from None
+    finally:
+        tally()
+    if best is None:
+        raise exceeded(max_colors + 1)
+    return best.num_colors(), best
 
 
 def chi_so_exact(
@@ -410,9 +465,9 @@ def feasible(
     engine = _Engine(g, rule, True, *scopes, node_limit=budget.node_limit,
                      deadline=time.monotonic() + budget.time_limit)
     try:
-        assignment = engine.run(t)
+        assignment = next(engine.run(t), None)
     except _Stop:
-        raise BudgetExceeded(1, None, None, engine.nodes)
+        raise BudgetExceeded(1, None, None, engine.nodes) from None
     return Coloring(assignment) if assignment is not None else None
 
 

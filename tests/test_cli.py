@@ -34,7 +34,9 @@ class TestGenSolve:
         payload = json.loads(out)
         assert payload["value"] == 5
         assert payload["nodes"] > 0
-        assert sorted(payload["nodes_by_t"], key=int) == ["1", "2", "3", "4", "5"]
+        # Bounds: n = 7 to start, then one less than each witness's colors.
+        bounds = sorted(map(int, payload["nodes_by_t"]), reverse=True)
+        assert bounds[0] == 7 and bounds[-1] == 4
         assert sum(payload["nodes_by_t"].values()) == payload["nodes"]
 
     def test_budget_reports_upper_bound(self):
@@ -44,6 +46,10 @@ class TestGenSolve:
         assert code == 1
         payload = json.loads(out)
         assert payload["status"] == "budget" and payload["upper_bound"] == 6
+        code, out = invoke(["verify", "--notion", "so"],
+                           json.dumps({**json.loads(k6), **payload["witness"]}))
+        assert code == 0 and json.loads(out)["ok"]
+        assert len(set(payload["witness"]["colors"].values())) == 6
 
     def test_solve_iso(self):
         graph = json.dumps({"graph": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}})

@@ -3,6 +3,8 @@
 import json
 import random
 import time
+import tracemalloc
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -38,7 +40,8 @@ DATA = Path(__file__).parent / "data"
 
 
 def solved(solve, g, *args, **kw):
-    """Value, witness as a list, and nodes per color count of one solve."""
+    """Value, witness as a list, and nodes per bound of one solve, in
+    increasing order of bound."""
     stats = SolveStats()
     value, witness = solve(g, *args, stats=stats, **kw)
     return {"value": value, "witness": [witness.assignment[v] for v in range(g.n)],
@@ -46,7 +49,7 @@ def solved(solve, g, *args, **kw):
 
 
 def within(nodes_by_t, ceiling):
-    """Node counts per color count at most a ceiling's, for the same t."""
+    """Node counts per bound at most a ceiling's, for the same bound."""
     return len(nodes_by_t) == len(ceiling) and all(map(int.__le__, nodes_by_t, ceiling))
 
 
@@ -125,6 +128,30 @@ class TestChiSo:
                 solve()
             assert info.value.upper_bound is None and info.value.witness is None
 
+    def test_budget_exceeded_keeps_best_coloring(self):
+        """A budget-out after a witness reports the one with fewer colors:
+        the search's last witness or the greedy fallback.  A constrained
+        solve has no fallback and reports the last witness."""
+        g = gen_gk(3, True)  # value 11
+        fallback = solver._square_coloring(g, ODD_RULE).num_colors()
+        both = DiGraph(g.n, [a for u, v in g.edge_list() for a in ((u, v), (v, u))])
+        for solve, has_fallback in ((partial(chi_so_exact, g), True),
+                                    (partial(chi_so_constrained, g, ConstraintSet((both,))), False)):
+            stats = SolveStats()
+            solve(stats=stats)
+            spent = [stats.nodes_by_t[t] for t in sorted(stats.nodes_by_t, reverse=True)]
+            # Stop right after the first witness, then right after the second.
+            for witnesses in (1, 2):
+                with pytest.raises(BudgetExceeded) as info:
+                    solve(SolverBudget(node_limit=sum(spent[:witnesses])))
+                witness = info.value.witness
+                assert is_strong_odd(g, witness).ok
+                assert info.value.upper_bound == witness.num_colors()
+                assert info.value.lower_bound == 1
+                if has_fallback:
+                    assert info.value.upper_bound <= fallback
+            assert info.value.upper_bound == 11
+
     def test_capped_colors_keep_upper_bound_above(self):
         g = gen_gk(2)  # value 5
         with pytest.raises(BudgetExceeded) as info:
@@ -133,13 +160,20 @@ class TestChiSo:
         assert info.value.upper_bound >= 5
 
     def test_nodes_by_t_sums_to_nodes(self):
-        stats = SolveStats()
-        value, _ = chi_so_exact(gen_gk(2), stats=stats)
-        assert sorted(stats.nodes_by_t) == list(range(1, value + 1))
+        """One key per bound: the starting bound, one less than each
+        witness's color count, and last value - 1, the refutation."""
+        g, stats = gen_gk(2), SolveStats()
+        value, _ = chi_so_exact(g, stats=stats)
+        bounds = sorted(stats.nodes_by_t, reverse=True)
+        assert bounds[0] == g.n and bounds[-1] == value - 1
         assert sum(stats.nodes_by_t.values()) == stats.nodes > 0
         stats = SolveStats()
-        with pytest.raises(BudgetExceeded) as info:
-            chi_so_exact(gen_gk(2), SolverBudget(node_limit=20), stats=stats)
+        chi_so_exact(g, SolverBudget(max_colors=6), stats=stats)
+        assert max(stats.nodes_by_t) == 6 and min(stats.nodes_by_t) == value - 1
+        stats = SolveStats()
+        with pytest.raises(BudgetExceeded) as info:  # after the first witness
+            chi_so_exact(g, SolverBudget(node_limit=10), stats=stats)
+        assert len(stats.nodes_by_t) == 2
         assert stats.nodes == info.value.nodes == sum(stats.nodes_by_t.values())
 
 
@@ -153,6 +187,19 @@ class TestEngine:
         witness = feasible(g, 3)
         assert witness is not None and is_strong_odd(g, witness).ok
         assert feasible(g, 2) is None
+
+    def test_counters_sized_by_colors_opened(self):
+        """Per-color counters sized by the starting bound n would hold
+        5,000 x 5,000 slots, 200 MB, on this path."""
+        g = Graph.path(5000)
+        tracemalloc.start()
+        try:
+            value, witness = chi_so_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 3 and is_strong_odd(g, witness).ok
+        assert peak < 50_000_000
 
     def test_many_isolated_vertices(self):
         value, witness = chi_so_exact(Graph(1200))
@@ -336,9 +383,9 @@ class TestForwardCheck:
         """(value, witness) pairs recorded before scopes were forward
         checked.  Cuts remove only subtrees without the least valid
         coloring, so the first witness stays the same.  ``solver_nodes.json``
-        adds chi_iso and the nodes per color count since twin floors; its
-        ``ceiling`` holds the counts from before them, which no count may
-        exceed."""
+        adds chi_iso and the nodes per bound, in increasing order of bound;
+        its ``ceiling`` holds the counts recorded when the search became one
+        branch-and-bound pass, which no count may exceed."""
         cases = json.loads((DATA / "solver_witnesses.json").read_text())
         nodes = json.loads((DATA / "solver_nodes.json").read_text())["pinned"]
         assert len(cases) == len(nodes) == 41
@@ -357,8 +404,8 @@ class TestForwardCheck:
 
     def test_gadgets_constraints_and_rules_pinned(self):
         """G_1-G_3 with and without tree edges, a constrained solve and a
-        non-odd rule: values, witnesses and nodes per color count, the
-        counts at most their ``ceiling`` from before twin floors."""
+        non-odd rule: values, witnesses and nodes per bound, the counts at
+        most their ``ceiling``."""
         cases = json.loads((DATA / "solver_nodes.json").read_text())["extra"]
         assert len(cases) == 11
         for case in cases:
@@ -433,17 +480,20 @@ class TestTwinFloors:
 
     @staticmethod
     def runs(call, floors):
-        """call()'s result, as plain values, and the nodes of each engine
-        run it made, with the twin floors on or blanked out."""
+        """call()'s result, as plain values, and the nodes its engine search
+        spent under each bound, with the twin floors on or blanked out.
+        Both searches yield the same least colorings, so their bounds
+        change in step."""
         nodes = []
         real_run, real_init = solver._Engine.run, solver._Engine.__init__
 
-        def run(self, t):
+        def run(self, bound):
             before = self.nodes
-            try:
-                return real_run(self, t)
-            finally:
+            for assignment in real_run(self, bound):
                 nodes.append(self.nodes - before)
+                yield assignment
+                before = self.nodes
+            nodes.append(self.nodes - before)
 
         def unfloored(self, *args, **kw):
             real_init(self, *args, **kw)
@@ -462,7 +512,7 @@ class TestTwinFloors:
 
     def check(self, call):
         """call()'s result, once it is shown equal to the unfloored engine's
-        with at most its nodes on every run."""
+        with at most its nodes under every bound."""
         got, nodes = self.runs(call, floors=True)
         want, ceiling = self.runs(call, floors=False)
         assert got == want
@@ -525,3 +575,31 @@ class TestTwinFloors:
                 self.check(lambda: solve(g))
             self.check(lambda: chi_iso_exact(g))
             self.check(lambda: feasible(g, 8))
+
+
+class TestSinglePass:
+    """One search lowers its bound at each witness.  Its last witness must
+    be the one a search at the value alone finds first, and the value less
+    one must be infeasible."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(43)
+        plain = [random_graph(rng.randrange(1, 10), rng.random(), rng) for _ in range(30)]
+        copied = [with_twin_copies(rng.randrange(2, 7), rng.random(), rng.randrange(1, 4), rng)
+                  for _ in range(30)]
+        gk = [gen_gk(k, tree) for k in (1, 2, 3) for tree in (False, True)]
+        return plain + copied + gk
+
+    def test_strong_odd(self):
+        for g in self.graphs():
+            for rule in (ODD_RULE,) + RULES:
+                value, witness = chi_so_exact(g, rule=rule)
+                assert feasible(g, value, rule).assignment == witness.assignment
+                assert feasible(g, value - 1, rule) is None
+
+    def test_odd(self):
+        for g in self.graphs():
+            value, witness = chi_odd_exact(g)
+            assert feasible(g, value, notion="odd").assignment == witness.assignment
+            assert feasible(g, value - 1, notion="odd") is None
