@@ -5,6 +5,8 @@ lines and timings.  The full suite takes a few minutes; the exhaustive
 gadget enumeration dominates.
 """
 
+import hashlib
+
 import pytest
 
 from strongodd import experiments
@@ -82,3 +84,22 @@ def test_gk3_attempted_and_reported():
     result = _run(experiments.crit_gk3_attempt, gk3_seconds=10.0)
     assert result["status"] == "info"
     assert "value" in result["details"] or "inconclusive" in result["details"]
+
+
+RUN_ALL_DIGEST = "2082aea1533610b65700849fed0cc13c71ccba416cae1a16e2d90b7bcfa89410"
+
+
+def _untimed(result):
+    """``result`` without the keys that end in ``seconds``."""
+    if isinstance(result, dict):
+        return {k: _untimed(v) for k, v in result.items() if not k.endswith("seconds")}
+    if isinstance(result, list):
+        return [_untimed(v) for v in result]
+    return result
+
+
+def test_quick_run_matches_pin():
+    # Digest recorded before the criteria shared one verdict builder: every
+    # name, status and detail of a quick run, in order, timings left out.
+    result = _untimed(experiments.run_all(quick=True))
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == RUN_ALL_DIGEST

@@ -1,5 +1,6 @@
 """Verifier decision procedures and their witnesses."""
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -7,12 +8,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongodd.gadgets import gen_random_maximal_outerplanar
 from strongodd.graphs import (
     Coloring,
     DiGraph,
     Graph,
     Hypergraph,
     MultiplicityRule,
+    ODD_RULE,
     PlaneGraph,
 )
 from strongodd.verify import (
@@ -209,3 +212,59 @@ class TestFacial:
             assert is_strong_odd(augmented, witness).ok
             restricted = witness.restrict(range(plane.graph.n))
             assert is_facially_odd(plane, restricted).ok
+
+
+VERIFY_DIGEST = "bcfa558757a5717cad42c0f4ef91947e8d671cd60678099c96d4008f46e31c8b"
+
+PIN_RULES = (ODD_RULE, MultiplicityRule(3, frozenset({1})), MultiplicityRule(2, frozenset({0})))
+
+
+def _verdict(fn, *args) -> str:
+    try:
+        out = fn(*args)
+    except PartialColoring as e:
+        return f"partial: {e}"
+    return repr(out if isinstance(out, bool) else (out.ok, out.violations))
+
+
+def _pin_case(rng: random.Random, case: int):
+    """A random graph, digraph, hypergraph and plane triangulation on about
+    the same vertices, with a coloring of one to four colors that leaves
+    some vertices uncolored in one case of five."""
+    n = rng.randrange(0, 10)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.4])
+    d = DiGraph(n, [(u, v) for u in range(n) for v in range(n)
+                    if u != v and rng.random() < 0.25])
+    h = Hypergraph(n, [rng.sample(range(n), rng.randrange(1, n + 1))
+                       for _ in range(rng.randrange(0, 5))] if n else [])
+    _, plane = gen_random_maximal_outerplanar(rng.randrange(3, 9), seed=case,
+                                              with_faces=True)
+    palette = rng.sample([0, 1, 2, 5, 7, 9], rng.randrange(1, 5))
+    assignment = {v: rng.choice(palette) for v in range(max(n, plane.graph.n))}
+    if rng.random() < 0.2:
+        assignment = {v: c for v, c in assignment.items() if rng.random() < 0.7}
+    sets = [rng.sample(range(n), rng.randrange(0, n + 1)) for _ in range(2)]
+    return g, d, h, plane, Coloring(assignment), sets
+
+
+class TestPinnedVerdicts:
+    def test_outcomes_match_pin(self):
+        """Digest recorded before the verifiers shared one pass: for every
+        verifier, rule and seeded case, ``(ok, violations)`` in order, the
+        bool of ``is_strong_odd_on_set``, or the ``PartialColoring``
+        message; plus the augmented graph of ``plane_to_strong_odd``."""
+        rng = random.Random(21)
+        digest = hashlib.sha256()
+        for case in range(400):
+            g, d, h, plane, c, sets = _pin_case(rng, case)
+            out = [_verdict(is_proper, g, c), _verdict(is_odd_coloring, g, c)]
+            for rule in PIN_RULES:
+                out += [_verdict(is_strong_odd, g, c, rule),
+                        _verdict(is_strong_odd_directed, d, c, rule),
+                        _verdict(is_hypergraph_strong_odd, h, c, rule),
+                        _verdict(is_facially_odd, plane, c, rule)]
+                out += [_verdict(is_strong_odd_on_set, c, m, rule) for m in sets]
+            augmented, face_vertex = plane_to_strong_odd(plane)
+            out.append(f"{augmented.n} {augmented.edge_list()} {face_vertex}")
+            digest.update(f"{case}:{out}\n".encode())
+        assert digest.hexdigest() == VERIFY_DIGEST
