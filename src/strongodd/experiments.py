@@ -155,6 +155,13 @@ def plane_triangulations(count: int, max_n: int = 7, seed: int = 0):
 # Criteria
 
 
+def _verdict(name: str, ok: bool, start: float, **details) -> dict:
+    """Result of a pass/fail criterion started at ``start``: its details
+    followed by the seconds it took."""
+    details["seconds"] = round(time.monotonic() - start, 3)
+    return {"name": name, "status": "pass" if ok else "fail", "details": details}
+
+
 def crit_gadget_exactness(quick=False) -> dict:
     details = {}
     ok = True
@@ -239,11 +246,8 @@ def crit_outerplanar(quick=False) -> dict:
             failures.append((i, "host-properness"))
         elif not is_strong_odd(mask, coloring).ok:
             failures.append((i, "strong-odd"))
-    elapsed = time.monotonic() - start
-    ok = not failures and elapsed < 300
-    return {"name": "outerplanar_le_8", "status": "pass" if ok else "fail",
-            "details": {"instances": count, "failures": failures,
-                        "seconds": round(elapsed, 3)}}
+    ok = not failures and time.monotonic() - start < 300
+    return _verdict("outerplanar_le_8", ok, start, instances=count, failures=failures)
 
 
 def _claim_check_independent(i, j, p, q, vmask, ucol, wcol) -> bool:
@@ -327,12 +331,8 @@ def crit_claim_exhaustive(quick=False) -> dict:
                             failures += 1
                             if first_failure is None:
                                 first_failure = (i, j, p, q, vmask)
-    elapsed = time.monotonic() - start
-    return {"name": "claim_exhaustive",
-            "status": "pass" if failures == 0 else "fail",
-            "details": {"instances": checked, "failures": failures,
-                        "first_failure": first_failure,
-                        "seconds": round(elapsed, 3)}}
+    return _verdict("claim_exhaustive", failures == 0, start, instances=checked,
+                    failures=failures, first_failure=first_failure)
 
 
 def tw_instance(index: int, quick=False):
@@ -374,11 +374,8 @@ def crit_tw(quick=False) -> dict:
         if not (_strong_odd_everywhere(g, coloring, digraphs, sets)
                 and bound.at_least(coloring.num_colors())):
             failures.append(i)
-    elapsed = time.monotonic() - start
-    return {"name": "tw_construction",
-            "status": "pass" if not failures else "fail",
-            "details": {"instances": count, "failures": failures,
-                        "seconds": round(elapsed, 3)}}
+    return _verdict("tw_construction", not failures, start, instances=count,
+                    failures=failures)
 
 
 def crit_clique_colorings(quick=False) -> dict:
@@ -419,11 +416,8 @@ def crit_clique_colorings(quick=False) -> dict:
             continue
         if not _odd_clique_classes(sum_clique_coloring(desc, cliques)):
             failures.append(("sum", i))
-    elapsed = time.monotonic() - start
-    return {"name": "clique_colorings",
-            "status": "pass" if not failures else "fail",
-            "details": {"instances": 2 * count, "failures": failures,
-                        "seconds": round(elapsed, 3)}}
+    return _verdict("clique_colorings", not failures, start, instances=2 * count,
+                    failures=failures)
 
 
 def crit_rtw_and_sums(quick=False) -> dict:
@@ -465,11 +459,8 @@ def crit_rtw_and_sums(quick=False) -> dict:
         c = color_sum(desc, arcs, sets)
         if not _strong_odd_everywhere(g, c, [arcs], sets):
             failures.append(("sum", i))
-    elapsed = time.monotonic() - start
-    return {"name": "rtw_and_sums",
-            "status": "pass" if not failures else "fail",
-            "details": {"instances": 3 * count, "failures": failures,
-                        "seconds": round(elapsed, 3)}}
+    return _verdict("rtw_and_sums", not failures, start, instances=3 * count,
+                    failures=failures)
 
 
 def crit_oracle_equivalence(quick=False) -> dict:
@@ -496,11 +487,8 @@ def crit_oracle_equivalence(quick=False) -> dict:
             failures.append((idx, "chain", chromatic, odd, value))
         if not is_odd_coloring(g, odd_witness).ok:
             failures.append((idx, "odd-witness"))
-    elapsed = time.monotonic() - start
-    return {"name": "oracle_equivalence",
-            "status": "pass" if not failures else "fail",
-            "details": {"graphs": len(corpus), "failures": failures[:5],
-                        "seconds": round(elapsed, 3)}}
+    return _verdict("oracle_equivalence", not failures, start, graphs=len(corpus),
+                    failures=failures[:5])
 
 
 def crit_facially_odd(quick=False) -> dict:
@@ -509,22 +497,15 @@ def crit_facially_odd(quick=False) -> dict:
     start = time.monotonic()
     for idx, plane in enumerate(plane_triangulations(count, max_n=7, seed=5)):
         augmented, _ = plane_to_strong_odd(plane)
-        witness = None
-        for t in range(4, augmented.n + 1):
-            witness = feasible(augmented, t)
-            if witness is not None:
-                break
-        if witness is None or not is_strong_odd(augmented, witness).ok:
+        _, witness = chi_so_exact(augmented)
+        if not is_strong_odd(augmented, witness).ok:
             failures.append((idx, "no-witness"))
             continue
         restricted = witness.restrict(range(plane.graph.n))
         if not is_facially_odd(plane, restricted).ok:
             failures.append((idx, "facial"))
-    elapsed = time.monotonic() - start
-    return {"name": "facially_odd_pipeline",
-            "status": "pass" if not failures else "fail",
-            "details": {"instances": count, "failures": failures,
-                        "seconds": round(elapsed, 3)}}
+    return _verdict("facially_odd_pipeline", not failures, start, instances=count,
+                    failures=failures)
 
 
 def crit_odd_chromatic(quick=False) -> dict:
@@ -556,7 +537,7 @@ CRITERIA = [
 ]
 
 
-def run_all(quick=False, gk3_seconds: float = 10.0) -> dict:
+def run_all(quick=False) -> dict:
     criteria = [fn(quick=quick) for fn in CRITERIA]
-    criteria.append(crit_gk3_attempt(gk3_seconds=gk3_seconds))
+    criteria.append(crit_gk3_attempt())
     return {"criteria": criteria, "quick": quick}
