@@ -1,5 +1,6 @@
 """CLI subcommands and pipeline composition."""
 
+import hashlib
 import io
 import json
 import sys
@@ -304,3 +305,129 @@ class TestReproducibility:
         _, col1 = invoke(["color", "--algo", "outerplanar"], out1)
         _, col2 = invoke(["color", "--algo", "outerplanar"], out2)
         assert col1 == col2
+
+
+def _outcome(argv, stdin_text=""):
+    """(exit code, stdout with ``"time"`` dropped, stderr) of one run."""
+    old_err, sys.stderr = sys.stderr, io.StringIO()
+    try:
+        code, out = invoke(argv, stdin_text)
+        err = sys.stderr.getvalue()
+    finally:
+        sys.stderr = old_err
+    if out:
+        payload = json.loads(out)
+        payload.pop("time", None)
+        out = graphio.dumps(payload)
+    return code, out, err
+
+
+def _k(n):
+    return {"n": n, "edges": [[u, v] for u in range(n) for v in range(u + 1, n)]}
+
+
+def _colored(graph, *colors):
+    return json.dumps({"graph": graph, "colors": {str(v): c for v, c in enumerate(colors)}})
+
+
+PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+OUT_STAR = {"n": 3, "arcs": [[0, 1], [0, 2]]}
+HYPER = {"n": 3, "hyperedges": [[0, 1, 2], [0, 1]]}
+TRIANGLE = {**_k(3), "faces": [[0, 1, 2], [2, 1, 0]]}
+SQUARE = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]],
+          "faces": [[0, 1, 2, 3], [3, 2, 1, 0]]}
+
+
+def _cli_corpus():
+    """(argv, stdin) pairs over every gadget, notion and algorithm, with
+    budget-outs, failing checks and malformed input."""
+    cases = []
+    for seed in ("0", "1"):
+        for gadget, params in (("gk", "k=2"), ("gk", "k=2,tree_edges=1"), ("iso", "n=3"),
+                               ("ktree", "k=2,steps=8,keep=60"),
+                               ("outerplanar", "n=12,keep=70")):
+            cases.append((["gen", "--gadget", gadget, "--params", params, "--seed", seed], ""))
+        for gadget in ("gk", "iso", "ktree", "outerplanar"):
+            cases.append((["gen", "--gadget", gadget, "--seed", seed], ""))
+    cases += [(["gen", "--gadget", "gk", "--params", p], "")
+              for p in ("k=0", "k=abc", "k=2,,tree_edges=0")]
+    cases += [(["gen", "--gadget", "outerplanar", "--params", "n=2"], ""),
+              (["gen", "--gadget", "ktree", "--params", "k=-1"], "")]
+
+    gk2 = invoke(["gen", "--gadget", "gk", "--params", "k=2"])[1]
+    for notion in ("so", "iso", "odd", "chi"):
+        cases.append((["solve", "--notion", notion], gk2))
+        cases.append((["solve", "--notion", notion], "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"))
+    cases += [(["solve", "--node-limit", "3"], json.dumps({"graph": _k(6)})),
+              (["solve", "--max-colors", "4"], gk2),
+              (["solve", "--max-colors", "0"], gk2),
+              (["solve", "--node-limit", "0"], gk2),
+              (["solve"], "{broken"), (["solve"], ""), (["solve"], "2 1\n0 x\n")]
+
+    for notion, graph, good, bad in (
+            ("so", PATH3, (0, 1, 2), (0, 1, 0)),
+            ("proper", PATH3, (0, 1, 0), (0, 0, 1)),
+            ("odd", _k(4), (0, 1, 2, 3), (0, 1, 0, 1)),
+            ("iso", PATH3, (0, 0, 1), (0, 1, 0)),
+            ("directed", OUT_STAR, (0, 1, 2), (0, 1, 1)),
+            ("hypergraph", HYPER, (0, 1, 2), (0, 0, 1)),
+            ("facial", TRIANGLE, (0, 1, 2), (0, 1, 1)),
+            ("facial", SQUARE, (0, 1, 2, 3), (0, 1, 0, 1))):
+        cases += [(["verify", "--notion", notion], _colored(graph, *good)),
+                  (["verify", "--notion", notion], _colored(graph, *bad))]
+    cases += [(["verify", "--modulus", "3", "--residues", "1+2"], _colored(_k(4), 0, 1, 2, 3)),
+              (["verify", "--modulus", "3", "--residues", "2"], _colored(PATH3, 0, 1, 2)),
+              (["verify", "--notion", "hypergraph", "--residues", "0"], _colored(HYPER, 0, 0, 1)),
+              (["verify", "--residues", "1+x"], _colored(PATH3, 0, 1, 2)),
+              (["verify", "--residues", "5"], _colored(PATH3, 0, 1, 2)),
+              (["verify", "--modulus", "0"], _colored(PATH3, 0, 1, 2)),
+              (["verify", "--notion", "proper", "--residues", "x"], _colored(PATH3, 0, 1, 0)),
+              (["verify"], _colored(PATH3, 0, 1)),
+              (["verify", "--notion", "facial"], _colored(PATH3, 0, 1, 2)),
+              (["verify"], json.dumps({"graph": PATH3})),
+              (["verify"], "")]
+
+    outer = invoke(["gen", "--gadget", "outerplanar", "--params", "n=20,keep=70", "--seed", "3"])[1]
+    ktree = json.loads(invoke(["gen", "--gadget", "ktree", "--params", "k=2,steps=8"])[1])
+    cases += [(["color", "--algo", "outerplanar"], outer),
+              (["color", "--algo", "outerplanar"], json.dumps({"graph": PATH3})),
+              (["color", "--algo", "tw"], json.dumps(ktree)),
+              (["color", "--algo", "tw"], json.dumps({**ktree, "sets": [[0, 1, 2, 3]],
+                                                      "digraphs": [CONSTRAINTS["arcs"]]})),
+              (["color", "--algo", "tw"], json.dumps({**ktree, "sets": [[0, 1, 2, 3]], "digraphs": [
+                  {"n": 10, "arcs": [[0, 1], [0, 2]]}, {"n": 10, "arcs": [[2, 1]]}]})),
+              (["color", "--algo", "rtw"], json.dumps({**COLOR_INPUTS["rtw"], "sets": [[1, 2]],
+                                                       "arcs": {"n": 6, "arcs": [[0, 1], [0, 2]]}})),
+              (["color", "--algo", "sum"], json.dumps({**COLOR_INPUTS["sum"],
+                                                       "arcs": {"n": 5, "arcs": [[1, 0], [1, 2]]}}))]
+    for algo, payload in COLOR_INPUTS.items():
+        cases.append((["color", "--algo", algo], json.dumps(payload)))
+        for field in CONSTRAINTS:
+            cases.append((["color", "--algo", algo], json.dumps({**payload, field: CONSTRAINTS[field]})))
+    cases += [(["color", "--algo", "rtw"], json.dumps({"ktree": STAR})),
+              (["color", "--algo", "summand"], json.dumps({"ktree": STAR, "path_len": 2})),
+              (["color", "--algo", "summand"], json.dumps({**COLOR_INPUTS["summand"], "t": "1"})),
+              (["color", "--algo", "rtw"], json.dumps({**COLOR_INPUTS["rtw"], "path_len": 2.0})),
+              (["color", "--algo", "sum"], json.dumps({"ktree": STAR})),
+              (["color", "--algo", "tw"], json.dumps({"graph": PATH3})),
+              (["color", "--algo", "tw"], "{"),
+              (["color", "--algo", "outerplanar"], "")]
+
+    cases += [(["layering"], json.dumps(ktree)),
+              (["layering"], json.dumps(COLOR_INPUTS["sum"])),
+              (["layering"], json.dumps({"graph": PATH3})),
+              (["layering"], "")]
+    return cases
+
+
+CLI_DIGEST = "f2508d8dcdb26ceccb8d094136efe6afcd8ba76340209d80e91999c5592c37fb"
+
+
+class TestPinnedOutcomes:
+    def test_outcomes_match_pin(self):
+        """Digest recorded before the subcommands were declared as tables:
+        (argv, exit code, stdout without "time", stderr) of every case."""
+        digest = hashlib.sha256()
+        for argv, stdin_text in _cli_corpus():
+            digest.update(f"{argv}:{_outcome(argv, stdin_text)}\n".encode())
+        assert digest.hexdigest() == CLI_DIGEST
