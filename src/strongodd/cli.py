@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .gadgets import (
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
 )
-from .graphs import DiGraph, Graph, InputError, InvariantViolated, MultiplicityRule, ODD_RULE
+from .graphs import DiGraph, Graph, InputError, InvariantViolated, MultiplicityRule
 from .graphs import join_with_clique, strong_product
 from .ktree import bfs_layering, build_ktree, validate_bfs_properties
 from .outerplanar import color_outerplanar
@@ -38,6 +39,7 @@ from .sumcolor import color_sum, color_summand
 from .sums import build_sum, natural_layering, validate_natural_properties
 from .treewidth import color_tw
 from .verify import (
+    CheckReport,
     is_facially_odd,
     is_hypergraph_strong_odd,
     is_odd_coloring,
@@ -88,14 +90,18 @@ def _int(value, what: str) -> int:
         raise InputError(f"{what} must be an integer, not {value!r}") from None
 
 
-def _params(args) -> dict[str, int]:
-    out = {}
+def _params(args, defaults: dict[str, int]) -> dict[str, int]:
+    """``defaults`` overridden by ``--params``; a key the gadget does not
+    declare is the caller's error."""
+    out = dict(defaults)
     for item in args.params or []:
         for piece in item.split(","):
             if not piece:
                 continue
             key, _, value = piece.partition("=")
             key = key.strip()
+            if key not in defaults:
+                raise InputError(f"--gadget {args.gadget} does not read the parameter {key!r}")
             out[key] = _int(value, f"parameter {key!r}")
     return out
 
@@ -104,47 +110,53 @@ def _emit(obj: dict):
     sys.stdout.write(graphio.dumps(obj))
 
 
-def cmd_gen(args) -> int:
-    params = _params(args)
-    if args.gadget == "gk":
-        g = gen_gk(params.get("k", 2), include_tree_edges=bool(params.get("tree_edges", 0)))
-        _emit({"graph": graphio.graph_to_json(g)})
-    elif args.gadget == "iso":
-        g = gen_iso_gadget(params.get("n", 3))
-        _emit({"graph": graphio.graph_to_json(g)})
-    elif args.gadget == "ktree":
-        seq, mask = gen_random_partial_ktree(
-            params.get("k", 2), params.get("steps", 10),
-            params.get("keep", 100) / 100.0, args.seed,
-        )
-        _emit({"ktree": graphio.ktree_to_json(seq), "graph": graphio.graph_to_json(mask)})
-    elif args.gadget == "outerplanar":
-        seq = gen_random_maximal_outerplanar(params.get("n", 10), args.seed)
-        host = build_ktree(seq)
-        keep = params.get("keep", 100) / 100.0
-        import random as _random
+def _keep(params: dict[str, int]) -> float:
+    """The ``keep`` percentage of host edges as a probability."""
+    if not 0 <= params["keep"] <= 100:
+        raise InputError(f"parameter 'keep' must lie in 0..100, not {params['keep']}")
+    return params["keep"] / 100.0
 
-        rng = _random.Random(args.seed + 1)
-        mask = Graph(host.n, [e for e in host.edge_list() if rng.random() < keep])
-        _emit({"ktree": graphio.ktree_to_json(seq), "graph": graphio.graph_to_json(mask)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown gadget {args.gadget}")
+
+def _ktree_payload(seq, mask: Graph) -> dict:
+    return {"ktree": graphio.ktree_to_json(seq), "graph": graphio.graph_to_json(mask)}
+
+
+def _gen_outerplanar(params: dict[str, int], seed: int) -> dict:
+    seq = gen_random_maximal_outerplanar(params["n"], seed)
+    host, keep, rng = build_ktree(seq), _keep(params), random.Random(seed + 1)
+    return _ktree_payload(seq, Graph(host.n, [e for e in host.edge_list() if rng.random() < keep]))
+
+
+# Each gadget's parameters with their defaults, and its generator of the payload.
+_GADGETS = {
+    "gk": ({"k": 2, "tree_edges": 0}, lambda p, seed: {"graph": graphio.graph_to_json(
+        gen_gk(p["k"], include_tree_edges=bool(p["tree_edges"])))}),
+    "iso": ({"n": 3}, lambda p, seed: {"graph": graphio.graph_to_json(gen_iso_gadget(p["n"]))}),
+    "ktree": ({"k": 2, "steps": 10, "keep": 100}, lambda p, seed: _ktree_payload(
+        *gen_random_partial_ktree(p["k"], p["steps"], _keep(p), seed))),
+    "outerplanar": ({"n": 10, "keep": 100}, _gen_outerplanar),
+}
+
+
+def cmd_gen(args) -> int:
+    defaults, generate = _GADGETS[args.gadget]
+    _emit(generate(_params(args, defaults), args.seed))
     return 0
+
+
+# Each notion's solver, looked up when called so that a patched name takes effect.
+_SOLVERS = {"so": lambda: chi_so_exact, "iso": lambda: chi_iso_exact,
+            "odd": lambda: chi_odd_exact, "chi": lambda: chi_exact}
 
 
 def cmd_solve(args) -> int:
     payload = _read_payload(args)
     g = _graph_from_payload(payload)
-    budget = SolverBudget(
-        max_colors=args.max_colors,
-        node_limit=args.node_limit,
-        time_limit=args.timeout,
-    )
-    solver = {"so": chi_so_exact, "iso": chi_iso_exact,
-              "odd": chi_odd_exact, "chi": chi_exact}[args.notion]
+    budget = SolverBudget(max_colors=args.max_colors, node_limit=args.node_limit,
+                          time_limit=args.timeout)
     stats = SolveStats()
     try:
-        value, witness = solver(g, budget, stats=stats)
+        value, witness = _SOLVERS[args.notion]()(g, budget, stats=stats)
     except BudgetExceeded as exc:
         out = {"status": "budget", "lower_bound": exc.lower_bound,
                "upper_bound": exc.upper_bound, "nodes": exc.nodes,
@@ -163,83 +175,93 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _improper_strong_odd(g, c, rule) -> CheckReport:
+    """Strong odd with its ``edge`` violations dropped: the improper variant."""
+    bad = [v for v in is_strong_odd(g, c, rule).violations if v[0] != "edge"]
+    return CheckReport(not bad, bad)
+
+
+# Each notion's reader of the payload's graph object, and its verifier.
+_VERIFIERS = {
+    "so": (graphio.graph_from_json, lambda g, c, rule: is_strong_odd(g, c, rule)),
+    "proper": (graphio.graph_from_json, lambda g, c, rule: is_proper(g, c)),
+    "odd": (graphio.graph_from_json, lambda g, c, rule: is_odd_coloring(g, c)),
+    "iso": (graphio.graph_from_json, _improper_strong_odd),
+    "directed": (graphio.digraph_from_json, lambda d, c, rule: is_strong_odd_directed(d, c, rule)),
+    "hypergraph": (graphio.hypergraph_from_json,
+                   lambda h, c, rule: is_hypergraph_strong_odd(h, c, rule)),
+    "facial": (graphio.plane_from_json, lambda p, c, rule: is_facially_odd(p, c, rule)),
+}
+
+
 def cmd_verify(args) -> int:
     payload = _read_payload(args)
     coloring = graphio.coloring_from_json(payload)
-    rule = ODD_RULE
-    if args.modulus != 2 or args.residues != "1":
-        rule = MultiplicityRule(args.modulus,
-                                frozenset(_int(r, "residue") for r in args.residues.split("+")))
-    if args.notion in ("so", "proper", "odd", "iso"):
-        g = _graph_from_payload(payload)
-        if args.notion == "so":
-            report = is_strong_odd(g, coloring, rule)
-        elif args.notion == "proper":
-            report = is_proper(g, coloring)
-        elif args.notion == "odd":
-            report = is_odd_coloring(g, coloring)
-        else:
-            report = is_strong_odd(g, coloring, rule)
-            report.violations = [v for v in report.violations if v[0] != "edge"]
-            report.ok = not report.violations
-    elif args.notion == "directed":
-        d = graphio.digraph_from_json(payload.get("graph", payload))
-        report = is_strong_odd_directed(d, coloring, rule)
-    elif args.notion == "hypergraph":
-        h = graphio.hypergraph_from_json(payload.get("graph", payload))
-        report = is_hypergraph_strong_odd(h, coloring, rule)
-    elif args.notion == "facial":
-        p = graphio.plane_from_json(payload.get("graph", payload))
-        report = is_facially_odd(p, coloring, rule)
-    else:  # pragma: no cover
-        raise InputError(f"unknown notion {args.notion}")
+    rule = MultiplicityRule(args.modulus,
+                            frozenset(_int(r, "residue") for r in args.residues.split("+")))
+    read, check = _VERIFIERS[args.notion]
+    report = check(read(payload.get("graph", payload)), coloring, rule)
     _emit({"ok": report.ok, "violations": [list(v) for v in report.violations]})
     return 0 if report.ok else 1
 
 
-# The constraint fields each algorithm reads; its coloring need not hold on any other.
-_CONSTRAINT_FIELDS = {"outerplanar": (), "tw": ("digraphs", "sets"), "rtw": ("arcs", "sets"),
-                      "summand": ("arcs", "sets"), "sum": ("arcs", "sets")}
+def _ktree(payload: dict):
+    return graphio.ktree_from_json(_field(payload, "ktree"))
+
+
+def _count(payload: dict, key: str) -> int:
+    return graphio.json_int(_field(payload, key), key)
+
+
+def _color_outerplanar(payload, arcs, sets):
+    seq, mask = _ktree(payload), _graph_from_payload(payload)
+    return color_outerplanar(seq, mask), mask
+
+
+def _color_tw(payload, arcs, sets):
+    seq = _ktree(payload)
+    digraphs = graphio.digraphs_from_json(payload.get("digraphs", []))
+    return color_tw(seq, digraphs, sets), build_ktree(seq)
+
+
+def _color_rtw(payload, arcs, sets):
+    seq, path_len = _ktree(payload), _count(payload, "path_len")
+    return color_rtw(seq, path_len, arcs, sets), strong_product(build_ktree(seq), path_len)
+
+
+def _color_summand(payload, arcs, sets):
+    seq, path_len, t = _ktree(payload), _count(payload, "path_len"), _count(payload, "t")
+    coloring = color_summand(seq, path_len, t, arcs, sets)
+    return coloring, join_with_clique(strong_product(build_ktree(seq), path_len), t)
+
+
+def _color_sum(payload, arcs, sets):
+    desc = graphio.sumdesc_from_json(_field(payload, "sum"))
+    return color_sum(desc, arcs, sets), build_sum(desc).graph
+
+
+# The constraint fields each algorithm reads (its coloring need not hold on
+# any other), and the reader of its witness fields that colors and returns
+# the coloring with the host graph it is a coloring of.
+_ALGOS = {
+    "outerplanar": ((), _color_outerplanar),
+    "tw": (("digraphs", "sets"), _color_tw),
+    "rtw": (("arcs", "sets"), _color_rtw),
+    "summand": (("arcs", "sets"), _color_summand),
+    "sum": (("arcs", "sets"), _color_sum),
+}
 
 
 def cmd_color(args) -> int:
     payload = _read_payload(args)
+    fields, color = _ALGOS[args.algo]
     for name in ("arcs", "digraphs", "sets"):
-        if name in payload and name not in _CONSTRAINT_FIELDS[args.algo]:
+        if name in payload and name not in fields:
             raise InputError(f"--algo {args.algo} does not read the field {name!r}")
-    arcs = None
-    if "arcs" in payload:
-        arcs = graphio.digraph_from_json(payload["arcs"])
+    arcs = graphio.digraph_from_json(payload["arcs"]) if "arcs" in payload else None
     sets = graphio.sets_from_json(payload.get("sets", []))
-    if args.algo == "outerplanar":
-        seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        mask = _graph_from_payload(payload)
-        coloring = color_outerplanar(seq, mask)
-        out_graph = graphio.graph_to_json(mask)
-    elif args.algo == "tw":
-        seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        digraphs = graphio.digraphs_from_json(payload.get("digraphs", []))
-        coloring = color_tw(seq, digraphs, sets)
-        out_graph = graphio.graph_to_json(build_ktree(seq))
-    elif args.algo == "rtw":
-        seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        path_len = graphio.json_int(_field(payload, "path_len"), "path_len")
-        coloring = color_rtw(seq, path_len, arcs, sets)
-        out_graph = graphio.graph_to_json(strong_product(build_ktree(seq), path_len))
-    elif args.algo == "summand":
-        seq = graphio.ktree_from_json(_field(payload, "ktree"))
-        path_len = graphio.json_int(_field(payload, "path_len"), "path_len")
-        t = graphio.json_int(_field(payload, "t"), "t")
-        coloring = color_summand(seq, path_len, t, arcs, sets)
-        out_graph = graphio.graph_to_json(join_with_clique(
-            strong_product(build_ktree(seq), path_len), t))
-    elif args.algo == "sum":
-        desc = graphio.sumdesc_from_json(_field(payload, "sum"))
-        coloring = color_sum(desc, arcs, sets)
-        out_graph = graphio.graph_to_json(build_sum(desc).graph)
-    else:  # pragma: no cover
-        raise InputError(f"unknown algo {args.algo}")
-    out = {"graph": out_graph}
+    coloring, host = color(payload, arcs, sets)
+    out = {"graph": graphio.graph_to_json(host)}
     out.update(graphio.coloring_to_json(coloring))
     _emit(out)
     return 0
@@ -285,15 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate gadgets and corpora")
-    p.add_argument("--gadget", required=True,
-                   choices=["gk", "iso", "ktree", "outerplanar"])
+    p.add_argument("--gadget", required=True, choices=list(_GADGETS))
     p.add_argument("--params", action="append", default=[],
                    help="comma-separated key=value pairs, e.g. k=2")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", help="exact chromatic search")
-    p.add_argument("--notion", default="so", choices=["so", "iso", "odd", "chi"])
+    p.add_argument("--notion", default="so", choices=list(_SOLVERS))
     p.add_argument("--max-colors", type=int, default=None)
     p.add_argument("--timeout", type=float, default=600.0)
     p.add_argument("--node-limit", type=int, default=50_000_000)
@@ -302,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a coloring")
-    p.add_argument("--notion", default="so",
-                   choices=["so", "proper", "odd", "iso", "directed",
-                            "hypergraph", "facial"])
+    p.add_argument("--notion", default="so", choices=list(_VERIFIERS))
     p.add_argument("--modulus", type=int, default=2)
     p.add_argument("--residues", default="1", help="allowed residues, e.g. 1+3")
     p.add_argument("--file")
@@ -312,8 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("color", help="run a constructive coloring")
-    p.add_argument("--algo", required=True,
-                   choices=["outerplanar", "tw", "rtw", "summand", "sum"])
+    p.add_argument("--algo", required=True, choices=list(_ALGOS))
     p.add_argument("--file")
     p.add_argument("input", nargs="?", help="input file (default: stdin)")
     p.set_defaults(func=cmd_color)

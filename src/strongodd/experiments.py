@@ -141,6 +141,10 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def plane_triangulations(count: int, max_n: int = 7, seed: int = 0):
+    """``count`` seeded random maximal outerplanar graphs of 4..max_n
+    vertices, each embedded as a polygon triangulation (its triangles plus
+    the outer cycle).  These are not triangulations of the sphere, whatever
+    the name suggests."""
     out = []
     rng = random.Random(seed)
     for i in range(count):

@@ -70,6 +70,8 @@ def gen_random_partial_ktree(
     keeping each host edge independently with probability ``keep_prob``."""
     if not (0.0 <= keep_prob <= 1.0):
         raise InputError("keep_prob must lie in [0, 1]")
+    if n_steps < 0:
+        raise InputError("n_steps must be nonnegative")
     rng = random.Random(seed)
     cliques = [tuple(range(k))]
     steps = []

@@ -3,7 +3,9 @@
 import hashlib
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,6 +191,20 @@ class TestExitCodes:
         code, _ = invoke(argv, json.dumps({"graph": {"n": 1, "edges": []}}))
         assert code == 2
 
+    @pytest.mark.parametrize("argv, name", [
+        (["gen", "--gadget", "outerplanar", "--params", "n=12,kep=70"], "'kep'"),
+        (["gen", "--gadget", "gk", "--params", "n=3"], "'n'"),
+        (["gen", "--gadget", "outerplanar", "--params", "keep=150"], "'keep'"),
+        (["gen", "--gadget", "outerplanar", "--params", "keep=-20"], "'keep'"),
+        (["gen", "--gadget", "ktree", "--params", "keep=101"], "'keep'"),
+        (["gen", "--gadget", "ktree", "--params", "steps=-3"], "steps"),
+    ])
+    def test_gadget_parameter_outside_its_declaration(self, argv, name, capsys):
+        code, out = invoke(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and name in err
+
     @pytest.mark.parametrize("payload", [
         {"graph": {"n": "x", "edges": []}},
         {"graph": {"n": 2, "edges": [[0, 1, 1]]}},
@@ -283,6 +299,33 @@ class TestUnreadConstraints:
         code, out = invoke(["color", "--algo", algo], json.dumps(payload))
         assert code == 2 and out == ""
         assert repr(field) in capsys.readouterr().err
+
+
+def _readme_pipelines():
+    """The pipelines of the ``sh`` block under README's "## CLI", each a
+    list of argv stages, with the ``repro`` lines left out."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    pipelines = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            stages = [shlex.split(stage, comments=True) for stage in line.split("|")]
+            if stages[0][:2] != ["strongodd", "repro"]:
+                pipelines.append(stages)
+    return pipelines
+
+
+class TestReadme:
+    def test_cli_pipelines_run(self):
+        outputs = []
+        for stages in _readme_pipelines():
+            out = ""
+            for argv in stages:
+                assert argv[0] == "strongodd"
+                code, out = invoke(argv[1:], out)
+                assert code == 0, argv
+            outputs.append(out)
+        assert json.loads(outputs[0])["value"] == 5
 
 
 class TestLayering:

@@ -11,7 +11,7 @@ from strongodd.gadgets import (
     gen_random_partial_ktree,
     gk_leaves,
 )
-from strongodd.graphs import Coloring, Graph
+from strongodd.graphs import Coloring, Graph, InputError
 from strongodd.ktree import build_ktree
 from strongodd.outerplanar import validate_outerplanar_structure
 from strongodd.solver import chi_exact, chi_so_exact, feasible
@@ -98,6 +98,10 @@ class TestRandomKtree:
     def test_invalid_prob(self):
         with pytest.raises(ValueError):
             gen_random_partial_ktree(1, 3, 1.5, seed=0)
+
+    def test_negative_steps(self):
+        with pytest.raises(InputError, match="n_steps"):
+            gen_random_partial_ktree(2, -3, 1.0, seed=0)
 
 
 class TestRandomOuterplanar:

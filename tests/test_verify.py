@@ -199,15 +199,11 @@ class TestFacial:
         # Any strong odd coloring of the face-augmented graph restricts to a
         # facially odd coloring of the embedded graph.
         from strongodd.experiments import plane_triangulations
-        from strongodd.solver import feasible
+        from strongodd.solver import chi_so_exact
 
         for plane in plane_triangulations(100, max_n=7, seed=77):
             augmented, _ = plane_to_strong_odd(plane)
-            witness = None
-            for t in range(4, augmented.n + 1):
-                witness = feasible(augmented, t)
-                if witness is not None:
-                    break
+            _, witness = chi_so_exact(augmented)
             assert witness is not None
             assert is_strong_odd(augmented, witness).ok
             restricted = witness.restrict(range(plane.graph.n))
