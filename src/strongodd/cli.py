@@ -158,12 +158,15 @@ def cmd_solve(args) -> int:
     try:
         value, witness = _SOLVERS[args.notion]()(g, budget, stats=stats)
     except BudgetExceeded as exc:
-        out = {"status": "budget", "lower_bound": exc.lower_bound,
-               "upper_bound": exc.upper_bound, "nodes": exc.nodes,
-               "nodes_by_t": stats.nodes_by_t}
-        if exc.witness is not None:
-            out["witness"] = graphio.coloring_to_json(exc.witness)
-        _emit(out)
+        # A lower bound above 1 means the search refuted the cap itself.
+        if exc.lower_bound > 1:
+            out = {"status": "infeasible", "lower_bound": exc.lower_bound}
+        else:
+            out = {"status": "budget", "lower_bound": exc.lower_bound,
+                   "upper_bound": exc.upper_bound}
+            if exc.witness is not None:
+                out["witness"] = graphio.coloring_to_json(exc.witness)
+        _emit({**out, "nodes": exc.nodes, "nodes_by_t": stats.nodes_by_t})
         return 1
     _emit({
         "value": value,

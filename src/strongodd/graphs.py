@@ -358,10 +358,13 @@ def _finish(values: Mapping, bound: Bound, label: str, key=None) -> dict:
 
 
 def check_constraints(g: Graph, digraphs: Iterable[DiGraph], sets: Iterable[Iterable[int]]):
-    """Reject a digraph constraint that is not a subgraph of ``g`` or a
-    tracked set holding a vertex outside it."""
+    """Reject a digraph constraint on other vertices than ``g``'s or not a
+    subgraph of it, or a tracked set holding a vertex outside it."""
     for d in digraphs:
-        if d.n != g.n or not d.is_subgraph_of(g):
+        if d.n != g.n:
+            raise InputNotSubgraph(
+                f"digraph constraint has {d.n} vertices but the host has {g.n}")
+        if not d.is_subgraph_of(g):
             raise InputNotSubgraph("digraph constraint is not a subgraph of the host")
     for m in sets:
         if any(not (0 <= v < g.n) for v in m):

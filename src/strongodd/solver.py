@@ -13,6 +13,27 @@ colored with no odd count.  A color is checked against every scope of its
 vertex before it is committed, and the search keeps its own stack, so it has
 no recursion-depth limit.
 
+For proper notions a rule scope's check also asks which uncolored members
+can repair it, the cheap part of Hall's condition for matching colors to
+members.  A needy color of a scope is one present there with a count the
+rule forbids; under the odd rule, a positive even count.  Each needy color
+needs at least one more member colored with it, and a member takes one
+color, so distinct needy colors need distinct members.  An uncolored member
+w can take a needy color x only if no colored neighbour of w holds x,
+counting the vertex being tried with its tentative color.  So that color is
+cut when some needy color is free for no uncolored member, or when fewer
+uncolored members have a needy color free than there are needy colors.
+Coloring more vertices never frees a color for w, and a needy color stays
+needy until a member takes it, so either case leaves the subtree with no
+valid coloring: the cut keeps every L_k below, and values, witnesses and
+refutations are unchanged.  It compares those members with the number of
+needy colors, which is what a matching needs.  Under the odd rule that
+number is the deficit, as each needy color needs one member; under other
+rules one needy color may need several (a count of 2 under "1 mod 3" needs
+two), and the deficit is already weighed against every uncolored member.
+An improper search leaves every color free, where the cut adds nothing to
+the deficit's, so it runs only for proper notions.
+
 The search branches on the vertices in a fixed order and tries colors in
 increasing order, opening at most one new color per vertex.  It thus visits
 colorings in lexicographic order.  A dead subtree holds no valid coloring,
@@ -121,24 +142,33 @@ class _Stop(Exception):
     pass
 
 
-def _deficit_steps(rule: MultiplicityRule, size: int) -> list[int]:
+def _deficit_steps(rule: MultiplicityRule, size: int) -> tuple[list[int], list[bool]]:
     """``step[k]``: the change in a scope's deficit when one color's count
-    there goes from k to k + 1, for k < size.  A count's need is the fewest
-    extra members that make it allowed; an absent color needs none."""
+    there goes from k to k + 1, for k < size; ``flip[k]``: whether that
+    move makes the color needy or stops it being so.  A count's need is the
+    fewest extra members that make it allowed; an absent color needs none,
+    and a color is needy while its need is positive."""
     m = rule.modulus
     need_by_residue = [next(j for j in range(m) if (r + j) % m in rule.residues)
                        for r in range(m)]
     need = [0] + [need_by_residue[k % m] for k in range(1, size + 1)]
-    return [need[k + 1] - need[k] for k in range(size)]
+    return ([need[k + 1] - need[k] for k in range(size)],
+            [(need[k + 1] > 0) != (need[k] > 0) for k in range(size)])
 
 
 def _membership(scopes: list[frozenset[int]], pos: dict[int, int], n: int):
-    """Per vertex, ``(scope id, members of the scope ordered after it)``."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    """Per vertex, ``(scope id, left, the scope's members in order)``, where
+    the last ``left`` members come after the vertex: they are the members
+    still uncolored when it is tried."""
+    if not scopes:
+        return [()] * n
+    out: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
     for s, scope in enumerate(scopes):
         members = sorted(scope, key=pos.__getitem__)
-        for i, v in enumerate(members):
-            out[v].append((s, len(members) - 1 - i))
+        left = len(members)
+        for v in members:
+            left -= 1
+            out[v].append((s, left, members))
     return out
 
 
@@ -168,18 +198,19 @@ class _Engine:
         self.nodes = 0
         nbrs = list(map(g.neighbors, range(g.n)))
         # By degree, highest first; the sort is stable, so ties stay in id order.
-        self.order = sorted(range(g.n), key=lambda v: -len(nbrs[v]))
-        pos = {v: i for i, v in enumerate(self.order)}
-        # Only earlier neighbours: the later ones are uncolored when v is tried.
-        self.adj: list[frozenset[int]] = [frozenset()] * g.n
+        self.order = sorted(range(g.n), key=list(map(len, nbrs)).__getitem__, reverse=True)
+        pos = dict(zip(self.order, range(g.n)))
+        # Only later neighbours: they are the uncolored vertices that v's
+        # color bars from taking it.
+        self.later: list[frozenset[int]] = [frozenset()] * g.n
         earlier: set[int] = set()
         for v in self.order:
-            self.adj[v] = nbrs[v] & earlier
             earlier.add(v)
+            self.later[v] = nbrs[v] - earlier
         rules = list(dict.fromkeys(s for s in rule_scopes if s))
         odds = list(dict.fromkeys(s for s in odd_scopes if s))
         self.n_rule, self.n_odd = len(rules), len(odds)
-        self.step = _deficit_steps(rule, max(map(len, rules), default=0))
+        self.step, self.flip = _deficit_steps(rule, max(map(len, rules), default=0))
         self.rule_of = _membership(rules, pos, g.n)
         self.odd_of = _membership(odds, pos, g.n)
         # floor[v]: the latest vertex before v with v's neighbours, if it is
@@ -188,7 +219,7 @@ class _Engine:
         self.floor = [g.n] * g.n
         if len(set(nbrs)) < g.n:
             def scopes(v):
-                return [s for s, _ in self.rule_of[v]], [s for s, _ in self.odd_of[v]]
+                return [s[0] for s in self.rule_of[v]], [s[0] for s in self.odd_of[v]]
 
             last: dict = {}
             for v in self.order:
@@ -202,26 +233,31 @@ class _Engine:
         colors than the one before: after a coloring with k colors the bound
         is k - 1.  Each is the least coloring within its bound (module
         docstring); the search ends once the last bound is refuted."""
-        n, order, adj, proper = self.n, self.order, self.adj, self.proper
-        rule_of, odd_of, step, floor = self.rule_of, self.odd_of, self.step, self.floor
+        n, order, later, proper = self.n, self.order, self.later, self.proper
+        rule_of, odd_of, floor = self.rule_of, self.odd_of, self.floor
+        step, flip = self.step, self.flip
         node_limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
         if not n:
             yield {}
             return
         n_rule, n_odd = self.n_rule, self.n_odd
         color = [-1] * n + [0]
-        color_of = color.__getitem__
         # counts[c][s]: members of rule scope s colored c; deficit[s]: its
-        # repair cost (module docstring); odd[s]: colors with an odd count
-        # in odd scope s.  The per-color lists grow as colors are opened.
+        # repair cost and needy[s] the bits of its needy colors (module
+        # docstring); odd[s]: colors with an odd count in odd scope s.
+        # held[c][w]: w's colored neighbours colored c, and taken[w] the bits
+        # of the colors they hold, kept only for proper notions.  The
+        # per-color lists grow as colors are opened.
         counts = [[0] * n_rule]
         deficit = [0] * n_rule
+        needy = [0] * n_rule
         odd_counts = [[0] * n_odd]
         odd = [0] * n_odd
-        # Per depth: the colors used above it and those its earlier neighbours
-        # hold.  Its vertex keeps the last color tried there, -1 on entry.
+        held = [[0] * n]
+        taken = [0] * n
+        # Per depth: the colors used above it.  Its vertex keeps the last
+        # color tried there, -1 on entry.
         used = [0] * n
-        forbidden: list = [()] * n
         idx = 0
         try:
             while True:
@@ -232,34 +268,59 @@ class _Engine:
                     nodes += 1
                     if nodes > node_limit or nodes % 4096 == 0 and time.monotonic() > deadline:
                         raise _Stop
-                    if proper:
-                        forbidden[idx] = {*map(color_of, adj[v])}
                     c = color[floor[v]]
                 else:
                     color[v] = -1
+                    bit = 1 << c
                     cnt = counts[c]
-                    for s, _ in rules:
+                    for s, _, _ in rules:
                         k = cnt[s] - 1
                         cnt[s] = k
                         deficit[s] -= step[k]
+                        if flip[k]:
+                            needy[s] ^= bit
                     cnt = odd_counts[c]
-                    for s, _ in odds:
+                    for s, _, _ in odds:
                         k = cnt[s] - 1
                         cnt[s] = k
                         odd[s] -= -1 if k & 1 else 1
+                    if proper:
+                        cnt = held[c]
+                        for w in later[v]:
+                            k = cnt[w] - 1
+                            cnt[w] = k
+                            if not k:
+                                taken[w] ^= bit
                     c += 1
-                bad = forbidden[idx]
+                bad = taken[v]
                 for c in range(c, min(used[idx] + 1, bound)):
-                    if c in bad:
+                    bit = 1 << c
+                    if bad & bit:
                         continue
                     cnt = counts[c]
-                    for s, left in rules:
-                        if deficit[s] + step[cnt[s]] > left:
+                    for s, left, members in rules:
+                        k = cnt[s]
+                        if deficit[s] + step[k] > left:
                             break
+                        # The needy colors once v takes c (module docstring):
+                        # each needs an uncolored member of its own that it is
+                        # free for, and v bars c from its later neighbours.
+                        # A needy color makes the deficit positive, so left > 0.
+                        want = needy[s] ^ bit if flip[k] else needy[s]
+                        if want and proper:
+                            able = seen = 0
+                            near, rest = want & ~bit, later[v]
+                            for w in members[-left:]:
+                                free = (near if w in rest else want) & ~taken[w]
+                                if free:
+                                    able += 1
+                                    seen |= free
+                            if seen != want or able < want.bit_count():
+                                break
                     else:
                         # Dead: fully colored, and c takes its one odd count to even.
                         cnt = odd_counts[c]
-                        for s, left in odds:
+                        for s, left, _ in odds:
                             if not left and cnt[s] & 1 and odd[s] == 1:
                                 break
                         else:
@@ -271,15 +332,24 @@ class _Engine:
                     continue
                 color[v] = c
                 cnt = counts[c]
-                for s, _ in rules:
+                for s, _, _ in rules:
                     k = cnt[s]
                     cnt[s] = k + 1
                     deficit[s] += step[k]
+                    if flip[k]:
+                        needy[s] ^= bit
                 cnt = odd_counts[c]
-                for s, _ in odds:
+                for s, _, _ in odds:
                     k = cnt[s]
                     cnt[s] = k + 1
                     odd[s] += -1 if k & 1 else 1
+                if proper:
+                    cnt = held[c]
+                    for w in later[v]:
+                        k = cnt[w]
+                        cnt[w] = k + 1
+                        if not k:
+                            taken[w] |= bit
                 idx += 1
                 u = used[idx - 1]
                 if c == u:
@@ -287,6 +357,7 @@ class _Engine:
                     if u == len(counts):
                         counts.append([0] * n_rule)
                         odd_counts.append([0] * n_odd)
+                        held.append([0] * n)
                 if idx < n:
                     used[idx] = u
                     continue

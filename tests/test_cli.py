@@ -54,6 +54,17 @@ class TestGenSolve:
         assert code == 0 and json.loads(out)["ok"]
         assert len(set(payload["witness"]["colors"].values())) == 6
 
+    def test_refuted_cap_is_infeasible(self):
+        """G_2 has value 5: a cap of 4 is refuted, not a budget-out, and no
+        coloring above the cap is printed."""
+        code, out = invoke(["gen", "--gadget", "gk", "--params", "k=2"])
+        code, out = invoke(["solve", "--max-colors", "4"], out)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["status"] == "infeasible" and payload["lower_bound"] == 5
+        assert "witness" not in payload and "upper_bound" not in payload
+        assert sum(payload["nodes_by_t"].values()) == payload["nodes"] > 0
+
     def test_solve_iso(self):
         graph = json.dumps({"graph": {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}})
         code, out = invoke(["solve", "--notion", "iso"], graph)
@@ -140,6 +151,16 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and err.count("\n") == 1
+
+    def test_digraph_on_other_vertices_is_named(self, capsys):
+        """A digraph constraint whose vertex count differs from the host's
+        is rejected for that, with both counts, even when its arcs are host
+        edges."""
+        payload = {"ktree": STAR, "digraphs": [{"n": 5, "arcs": [[0, 1], [0, 2]]}]}
+        code, out = invoke(["color", "--algo", "tw"], json.dumps(payload))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err == "error: digraph constraint has 5 vertices but the host has 3\n"
 
     def test_missing_field_is_malformed_input(self):
         code, out = invoke(["gen", "--gadget", "ktree",
@@ -463,13 +484,16 @@ def _cli_corpus():
     return cases
 
 
-CLI_DIGEST = "f2508d8dcdb26ceccb8d094136efe6afcd8ba76340209d80e91999c5592c37fb"
+CLI_DIGEST = "b50d3eb983ef3419cfd89d7ebe25b22c70d113504ba91722cae313dc380a42b9"
 
 
 class TestPinnedOutcomes:
     def test_outcomes_match_pin(self):
-        """Digest recorded before the subcommands were declared as tables:
-        (argv, exit code, stdout without "time", stderr) of every case."""
+        """Digest of (argv, exit code, stdout without "time", stderr) of
+        every case.  Recorded before the subcommands were declared as
+        tables, then once more when a refuted ``--max-colors`` cap came to
+        print "infeasible" and a digraph on another vertex count its own
+        message, the only five cases that changed."""
         digest = hashlib.sha256()
         for argv, stdin_text in _cli_corpus():
             digest.update(f"{argv}:{_outcome(argv, stdin_text)}\n".encode())

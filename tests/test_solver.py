@@ -470,6 +470,53 @@ def split_constraints(g, rng):
     return ConstraintSet((d,), tuple(sets))
 
 
+def runs(call, floors=True, hall=True):
+    """call()'s result, as plain values, and the nodes its engine search
+    spent under each bound, with the twin floors and the Hall check on or
+    switched off.  Blanking ``flip`` keeps every scope's needy colors empty,
+    so the Hall check never cuts, while the deficits stay exact.  Searches
+    with and without a cut yield the same least colorings, so their bounds
+    change in step."""
+    nodes = []
+    real_run, real_init = solver._Engine.run, solver._Engine.__init__
+
+    def run(self, bound):
+        before = self.nodes
+        for assignment in real_run(self, bound):
+            nodes.append(self.nodes - before)
+            yield assignment
+            before = self.nodes
+        nodes.append(self.nodes - before)
+
+    def init(self, *args, **kw):
+        real_init(self, *args, **kw)
+        if not floors:
+            self.floor = [self.n] * self.n
+        if not hall:
+            self.flip = [False] * len(self.flip)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Engine, "run", run)
+        mp.setattr(solver._Engine, "__init__", init)
+        out = call()
+    if isinstance(out, tuple):
+        out = out[0], out[1].assignment
+    elif out is not None:
+        out = out.assignment
+    return out, nodes
+
+
+def check(call, **off):
+    """call()'s result, once it is shown equal to the result of the engine
+    with a cut switched off (the twin floors unless ``off`` names one), with
+    at most its nodes under every bound."""
+    got, nodes = runs(call)
+    want, ceiling = runs(call, **(off or {"floors": False}))
+    assert got == want
+    assert within(nodes, ceiling)
+    return got
+
+
 class TestTwinFloors:
     """A vertex's color starts at its latest earlier false twin's color when
     both lie in the same scopes.  The cut must keep every value and first
@@ -478,61 +525,20 @@ class TestTwinFloors:
     and every coloring up to renaming for the others.  It is also checked
     against the same engine with its floors blanked out."""
 
-    @staticmethod
-    def runs(call, floors):
-        """call()'s result, as plain values, and the nodes its engine search
-        spent under each bound, with the twin floors on or blanked out.
-        Both searches yield the same least colorings, so their bounds
-        change in step."""
-        nodes = []
-        real_run, real_init = solver._Engine.run, solver._Engine.__init__
-
-        def run(self, bound):
-            before = self.nodes
-            for assignment in real_run(self, bound):
-                nodes.append(self.nodes - before)
-                yield assignment
-                before = self.nodes
-            nodes.append(self.nodes - before)
-
-        def unfloored(self, *args, **kw):
-            real_init(self, *args, **kw)
-            self.floor = [self.n] * self.n
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver._Engine, "run", run)
-            if not floors:
-                mp.setattr(solver._Engine, "__init__", unfloored)
-            out = call()
-        if isinstance(out, tuple):
-            out = out[0], out[1].assignment
-        elif out is not None:
-            out = out.assignment
-        return out, nodes
-
-    def check(self, call):
-        """call()'s result, once it is shown equal to the unfloored engine's
-        with at most its nodes under every bound."""
-        got, nodes = self.runs(call, floors=True)
-        want, ceiling = self.runs(call, floors=False)
-        assert got == want
-        assert within(nodes, ceiling)
-        return got
-
     def test_strong_odd_and_chromatic(self):
         for g in twin_rich_graphs():
             for rule in (ODD_RULE, RULES[0], RULES[2]):
                 for solve, proper in ((chi_so_exact, True), (chi_iso_exact, False)):
-                    value, _ = self.check(lambda: solve(g, rule=rule))
+                    value, _ = check(lambda: solve(g, rule=rule))
                     assert enumerate_oracle(g, value, rule, proper)
                     assert not enumerate_oracle(g, value - 1, rule, proper)
-            value, _ = self.check(lambda: chi_exact(g))
+            value, _ = check(lambda: chi_exact(g))
             assert enumerate_oracle(g, value, ANY_COUNT)
             assert not enumerate_oracle(g, value - 1, ANY_COUNT)
 
     def test_odd(self):
         for g in twin_rich_graphs():
-            value, _ = self.check(lambda: chi_odd_exact(g))
+            value, _ = check(lambda: chi_odd_exact(g))
             for t in (value - 1, value):
                 exists = any(is_odd_coloring(g, c).ok for c in colorings_up_to_renaming(g.n, t))
                 assert exists == (t == value)
@@ -541,9 +547,9 @@ class TestTwinFloors:
         for g in twin_rich_graphs():
             for t in range(1, 5):
                 for rule in (ODD_RULE, RULES[0], RULES[2]):
-                    witness = self.check(lambda: feasible(g, t, rule))
+                    witness = check(lambda: feasible(g, t, rule))
                     assert (witness is not None) == enumerate_oracle(g, t, rule)
-                witness = self.check(lambda: feasible(g, t, notion="odd"))
+                witness = check(lambda: feasible(g, t, notion="odd"))
                 assert (witness is not None) == any(
                     is_odd_coloring(g, c).ok for c in colorings_up_to_renaming(g.n, t))
 
@@ -558,7 +564,7 @@ class TestTwinFloors:
                         and all(is_strong_odd_on_set(c, m, rule) for m in sets))
 
             for rule in (ODD_RULE, RULES[0], RULES[2]):
-                value, _ = self.check(lambda: chi_so_constrained(g, constraints, rule=rule))
+                value, _ = check(lambda: chi_so_constrained(g, constraints, rule=rule))
                 for t in (value - 1, value):
                     exists = any(ok(c, rule) for c in colorings_up_to_renaming(g.n, t))
                     assert exists == (t == value)
@@ -566,15 +572,84 @@ class TestTwinFloors:
     def test_gadgets_beyond_the_oracle(self):
         """G_3 with and without tree edges: 15 vertices, beyond enumeration.
         Its sibling leaves are twins, so the floors cut nodes there."""
-        _, nodes = self.runs(lambda: chi_so_exact(gen_gk(3)), floors=True)
-        _, ceiling = self.runs(lambda: chi_so_exact(gen_gk(3)), floors=False)
+        _, nodes = runs(lambda: chi_so_exact(gen_gk(3)), floors=True)
+        _, ceiling = runs(lambda: chi_so_exact(gen_gk(3)), floors=False)
         assert sum(nodes) < sum(ceiling)
         for tree in (False, True):
             g = gen_gk(3, tree)
             for solve in (chi_so_exact, chi_odd_exact, chi_exact):
-                self.check(lambda: solve(g))
-            self.check(lambda: chi_iso_exact(g))
-            self.check(lambda: feasible(g, 8))
+                check(lambda: solve(g))
+            check(lambda: chi_iso_exact(g))
+            check(lambda: feasible(g, 8))
+
+
+class TestHallCut:
+    """A color is cut when some needy color of a scope (present with a
+    count the rule forbids) is free for none of the scope's uncolored
+    members, or when fewer of them have a needy color free than there are
+    needy colors.  The cut must keep every value and witness and may only
+    remove nodes: each solve is checked against the same engine with the
+    cut switched off, which the tests above check against enumeration."""
+
+    def test_every_mode_on_twin_rich_graphs(self):
+        rng = random.Random(44)
+        for g in twin_rich_graphs():
+            constraints = split_constraints(g, rng)
+            for rule in (ODD_RULE,) + RULES:
+                check(lambda: chi_so_exact(g, rule=rule), hall=False)
+                check(lambda: chi_iso_exact(g, rule=rule), hall=False)
+                check(lambda: chi_so_constrained(g, constraints, rule=rule), hall=False)
+                for t in range(1, 5):
+                    check(lambda: feasible(g, t, rule), hall=False)
+            check(lambda: chi_exact(g), hall=False)
+            check(lambda: chi_odd_exact(g), hall=False)
+            for t in range(1, 5):
+                check(lambda: feasible(g, t, notion="odd"), hall=False)
+
+    def test_fuzz(self):
+        """1,000 seeded random graphs of up to 10 vertices, each solved
+        under one of four rules, with and without constraints, and asked
+        for a coloring just below and at its value."""
+        rng = random.Random(45)
+        for i in range(1000):
+            n = rng.randrange(1, 11)
+            g = random_graph(n, rng.random(), rng)
+            rule = ((ODD_RULE,) + RULES)[i % 4]
+            value, _ = check(lambda: chi_so_exact(g, rule=rule), hall=False)
+            for t in (value - 1, value):
+                check(lambda: feasible(g, t, rule), hall=False)
+            d = DiGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                            for u, v in g.edge_list() if rng.random() < 0.7])
+            sets = tuple(frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+                         for _ in range(rng.randrange(3)))
+            check(lambda: chi_so_constrained(g, ConstraintSet((d,), sets), rule=rule),
+                  hall=False)
+
+    def test_cut_fires_where_the_last_member_is_barred(self):
+        """The search colors 0, 1, 2, 3, 4 in that order.  With 0 colored 0
+        and 1 colored 1, color 1 at 2 gives N(0) = {1, 2, 3} an even count
+        of color 1.  Its one uncolored member, 3, is adjacent to 1, so it
+        cannot take color 1: the cut refutes that node, where the deficit
+        alone (one needy color, one member left) lets it through and the
+        search spends a node at 3 to refute it."""
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 4)])
+        stats = SolveStats()
+        value, witness = chi_so_exact(g, stats=stats)
+        assert value == 4 and witness.assignment == {0: 0, 1: 1, 2: 2, 3: 3, 4: 1}
+        assert stats.nodes_by_t == {5: 5, 3: 0}
+        assert runs(lambda: chi_so_exact(g), hall=False) == ((value, witness.assignment), [6, 0])
+
+    def test_gadgets_beyond_the_oracle(self):
+        """G_3 with tree edges: the cut halves the nodes, with the same
+        value and witness."""
+        for tree in (False, True):
+            g = gen_gk(3, tree)
+            check(lambda: chi_so_exact(g), hall=False)
+            check(lambda: chi_so_exact(g, rule=RULES[0]), hall=False)
+            check(lambda: feasible(g, 8), hall=False)
+        _, nodes = runs(lambda: chi_so_exact(gen_gk(3, True)))
+        _, ceiling = runs(lambda: chi_so_exact(gen_gk(3, True)), hall=False)
+        assert 2 * sum(nodes) < sum(ceiling)
 
 
 class TestSinglePass:
