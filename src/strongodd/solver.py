@@ -34,10 +34,21 @@ two), and the deficit is already weighed against every uncolored member.
 An improper search leaves every color free, where the cut adds nothing to
 the deficit's, so it runs only for proper notions.
 
-The search branches on the vertices in a fixed order and tries colors in
-increasing order, opening at most one new color per vertex.  It thus visits
-colorings in lexicographic order.  A dead subtree holds no valid coloring,
-so cutting it loses no witness.
+The search branches on the vertices in an order fixed before it starts and
+tries colors in increasing order, opening at most one new color per vertex.
+It thus visits colorings in lexicographic order, read in the vertex order.
+A dead subtree holds no valid coloring, so cutting it loses no witness.
+The order closes scopes first: the next vertex is the uncolored one with
+the highest key, the number of colored vertices it shares a rule scope
+with, counted once per shared scope, plus twice its colored neighbours.
+Ties go to higher degree, then to the lower id.  Scopes thus fill up one
+after another, and a dead one shows near the root.  A search without rule
+scopes has none to close and branches by degree alone.  The keys read the
+graph and the rule scopes, never a color, so a checker can re-derive the
+order from the instance.  The arguments below, for L_k and for the twin
+floors, read "least" and "before" in the branching order and use nothing
+else about it, so they hold for any order fixed before the search; an order
+that followed the colors would define no one lexicographic order.
 
 One pass finds the value, as branch and bound does for the chromatic number
 (Brown 1972; Brelaz 1979).  The search starts from a bound on the colors, by
@@ -156,20 +167,40 @@ def _deficit_steps(rule: MultiplicityRule, size: int) -> tuple[list[int], list[b
             [(need[k + 1] > 0) != (need[k] > 0) for k in range(size)])
 
 
-def _membership(scopes: list[frozenset[int]], pos: dict[int, int], n: int):
-    """Per vertex, ``(scope id, left, the scope's members in order)``, where
-    the last ``left`` members come after the vertex: they are the members
-    still uncolored when it is tried."""
+def _membership(scopes: list[frozenset[int]], where: list, order: list[int]) -> list:
+    """Per vertex, ``(scope id, left, the scope's members in order)`` for
+    each scope holding it, where the last ``left`` members come after the
+    vertex: they are the members still uncolored when it is tried."""
     if not scopes:
-        return [()] * n
-    out: list[list[tuple[int, int, list[int]]]] = [[] for _ in range(n)]
-    for s, scope in enumerate(scopes):
-        members = sorted(scope, key=pos.__getitem__)
-        left = len(members)
-        for v in members:
-            left -= 1
-            out[v].append((s, left, members))
+        return where
+    out: list[list[tuple[int, int, list[int]]]] = [[] for _ in where]
+    members: list[list[int]] = [[] for _ in scopes]
+    for v in order:
+        for s in where[v]:
+            m = members[s]
+            m.append(v)
+            out[v].append((s, len(scopes[s]) - len(m), m))
     return out
+
+
+def _order(nbrs: list[frozenset[int]], rules: list[frozenset[int]],
+           rule_in: list) -> Iterator[int]:
+    """The branching order (module docstring), vertex by vertex;
+    ``rule_in[v]`` lists the ids of the rule scopes holding v."""
+    left = sorted(range(len(nbrs)), key=list(map(len, nbrs)).__getitem__, reverse=True)
+    if not rules:
+        yield from left
+        return
+    key = [0] * len(nbrs)
+    while left:
+        v = max(left, key=key.__getitem__)  # ties: the first in degree order
+        left.remove(v)
+        yield v
+        for s in rule_in[v]:
+            for w in rules[s]:
+                key[w] += 1
+        for w in nbrs[v]:
+            key[w] += 2
 
 
 class _Engine:
@@ -191,49 +222,51 @@ class _Engine:
         node_limit: int = 10**18,
         deadline: float = float("inf"),
     ):
-        self.n = g.n
+        self.n = n = g.n
         self.proper = proper
         self.node_limit = node_limit
         self.deadline = deadline
         self.nodes = 0
-        nbrs = list(map(g.neighbors, range(g.n)))
-        # By degree, highest first; the sort is stable, so ties stay in id order.
-        self.order = sorted(range(g.n), key=list(map(len, nbrs)).__getitem__, reverse=True)
-        pos = dict(zip(self.order, range(g.n)))
-        # Only later neighbours: they are the uncolored vertices that v's
-        # color bars from taking it.
-        self.later: list[frozenset[int]] = [frozenset()] * g.n
-        earlier: set[int] = set()
-        for v in self.order:
-            earlier.add(v)
-            self.later[v] = nbrs[v] - earlier
+        nbrs = list(map(g.neighbors, range(n)))
         rules = list(dict.fromkeys(s for s in rule_scopes if s))
         odds = list(dict.fromkeys(s for s in odd_scopes if s))
         self.n_rule, self.n_odd = len(rules), len(odds)
         self.step, self.flip = _deficit_steps(rule, max(map(len, rules), default=0))
-        self.rule_of = _membership(rules, pos, g.n)
-        self.odd_of = _membership(odds, pos, g.n)
-        # floor[v]: the latest vertex before v with v's neighbours, if it is
-        # v's twin (module docstring), else the sentinel n, whose slot in
-        # run's color list holds 0.  Most graphs have no equal neighbourhoods.
-        self.floor = [g.n] * g.n
-        if len(set(nbrs)) < g.n:
-            def scopes(v):
-                return [s[0] for s in self.rule_of[v]], [s[0] for s in self.odd_of[v]]
-
-            last: dict = {}
-            for v in self.order:
+        rule_in, odd_in = [[] for _ in range(n)], [[] for _ in range(n)]  # scope ids by vertex
+        for scopes, where in ((rules, rule_in), (odds, odd_in)):
+            for s, scope in enumerate(scopes):
+                for v in scope:
+                    where[v].append(s)
+        # With rule scopes, v's later neighbours: the uncolored vertices that
+        # v's color bars from taking it.  Without, a proper search reads v's
+        # barred colors off its earlier neighbours.  floor[v]: the latest
+        # vertex before v with v's neighbours, if it is v's twin (module
+        # docstring), else the sentinel n, whose slot in run's color list
+        # holds 0.  Most graphs have no equal neighbourhoods.
+        order, later, earlier, floor = [], [frozenset()] * n, [frozenset()] * n, [n] * n
+        twins, last, seen = len(set(nbrs)) < n, {}, set()
+        for v in _order(nbrs, rules, rule_in):
+            order.append(v)
+            seen.add(v)
+            if rules:
+                later[v] = nbrs[v] - seen
+            elif proper:
+                earlier[v] = nbrs[v] & seen
+            if twins:
                 x = last.get(nbrs[v])
-                if x is not None and scopes(x) == scopes(v):
-                    self.floor[v] = x
+                if x is not None and rule_in[x] == rule_in[v] and odd_in[x] == odd_in[v]:
+                    floor[v] = x
                 last[nbrs[v]] = v
+        self.order, self.later, self.earlier, self.floor = order, later, earlier, floor
+        self.rule_of = _membership(rules, rule_in, order)
+        self.odd_of = _membership(odds, odd_in, order)
 
     def run(self, bound: int) -> Iterator[dict[int, int]]:
         """Valid colorings with at most ``bound`` colors, each with fewer
         colors than the one before: after a coloring with k colors the bound
         is k - 1.  Each is the least coloring within its bound (module
         docstring); the search ends once the last bound is refuted."""
-        n, order, later, proper = self.n, self.order, self.later, self.proper
+        n, order, later, earlier = self.n, self.order, self.later, self.earlier
         rule_of, odd_of, floor = self.rule_of, self.odd_of, self.floor
         step, flip = self.step, self.flip
         node_limit, deadline, nodes = self.node_limit, self.deadline, self.nodes
@@ -241,13 +274,15 @@ class _Engine:
             yield {}
             return
         n_rule, n_odd = self.n_rule, self.n_odd
+        proper, keep = self.proper, self.proper and n_rule > 0
         color = [-1] * n + [0]
         # counts[c][s]: members of rule scope s colored c; deficit[s]: its
         # repair cost and needy[s] the bits of its needy colors (module
         # docstring); odd[s]: colors with an odd count in odd scope s.
         # held[c][w]: w's colored neighbours colored c, and taken[w] the bits
-        # of the colors they hold, kept only for proper notions.  The
-        # per-color lists grow as colors are opened.
+        # of the colors they hold, kept only for proper notions with rule
+        # scopes, whose check reads them.  The per-color lists grow as
+        # colors are opened.
         counts = [[0] * n_rule]
         deficit = [0] * n_rule
         needy = [0] * n_rule
@@ -284,7 +319,7 @@ class _Engine:
                         k = cnt[s] - 1
                         cnt[s] = k
                         odd[s] -= -1 if k & 1 else 1
-                    if proper:
+                    if keep:
                         cnt = held[c]
                         for w in later[v]:
                             k = cnt[w] - 1
@@ -292,7 +327,12 @@ class _Engine:
                             if not k:
                                 taken[w] ^= bit
                     c += 1
-                bad = taken[v]
+                if keep:
+                    bad = taken[v]
+                else:
+                    bad = 0
+                    for w in earlier[v]:
+                        bad |= 1 << color[w]
                 for c in range(c, min(used[idx] + 1, bound)):
                     bit = 1 << c
                     if bad & bit:
@@ -343,7 +383,7 @@ class _Engine:
                     k = cnt[s]
                     cnt[s] = k + 1
                     odd[s] += -1 if k & 1 else 1
-                if proper:
+                if keep:
                     cnt = held[c]
                     for w in later[v]:
                         k = cnt[w]

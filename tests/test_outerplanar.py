@@ -31,6 +31,7 @@ from strongodd.outerplanar import (
     gadget_graph,
     validate_outerplanar_structure,
 )
+from strongodd.solver import chi_so_exact, enumerate_oracle
 from strongodd.verify import is_proper, is_strong_odd
 
 
@@ -490,3 +491,21 @@ class TestDriver:
         )
         with pytest.raises(NotOuterplanarWitness):
             color_outerplanar(seq, [non_edge])
+
+
+class TestLowerBound:
+    def test_an_outerplanar_graph_needs_seven_colors(self):
+        """A subgraph of a 7-vertex maximal outerplanar host, all of it but
+        the edge (0, 3), has no strong odd coloring with 6 colors: the
+        solver says so, and exhaustive enumeration, which shares none of
+        its pruning, agrees.  With the driver's 8 colors, the outerplanar
+        constant is 7 or 8."""
+        seq = KTreeSeq.make(2, [(2, (0, 1)), (3, (0, 2)), (4, (2, 3)), (5, (1, 2)), (6, (2, 4))])
+        validate_outerplanar_structure(seq)
+        edges = [(0, 1), (0, 2), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (4, 6)]
+        assert set(build_ktree(seq).edge_list()) == set(edges) | {(0, 3)}
+        g = Graph(7, edges)
+        value, witness = chi_so_exact(g)
+        assert value == 7 and is_strong_odd(g, witness).ok
+        assert enumerate_oracle(g, 7)
+        assert not enumerate_oracle(g, 6)

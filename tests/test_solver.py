@@ -131,8 +131,10 @@ class TestChiSo:
     def test_budget_exceeded_keeps_best_coloring(self):
         """A budget-out after a witness reports the one with fewer colors:
         the search's last witness or the greedy fallback.  A constrained
-        solve has no fallback and reports the last witness."""
-        g = gen_gk(3, True)  # value 11
+        solve has no fallback and reports the last witness.  The search on
+        this graph yields two witnesses, with 7 and 6 colors; the fallback
+        has 10."""
+        g = random_graph(12, 0.3, random.Random(32))  # value 6
         fallback = solver._square_coloring(g, ODD_RULE).num_colors()
         both = DiGraph(g.n, [a for u, v in g.edge_list() for a in ((u, v), (v, u))])
         for solve, has_fallback in ((partial(chi_so_exact, g), True),
@@ -150,7 +152,7 @@ class TestChiSo:
                 assert info.value.lower_bound == 1
                 if has_fallback:
                     assert info.value.upper_bound <= fallback
-            assert info.value.upper_bound == 11
+            assert info.value.upper_bound == 6
 
     def test_capped_colors_keep_upper_bound_above(self):
         g = gen_gk(2)  # value 5
@@ -161,8 +163,10 @@ class TestChiSo:
 
     def test_nodes_by_t_sums_to_nodes(self):
         """One key per bound: the starting bound, one less than each
-        witness's color count, and last value - 1, the refutation."""
-        g, stats = gen_gk(2), SolveStats()
+        witness's color count, and last value - 1, the refutation.  The
+        search on this graph finds its first witness, with 7 colors, at its
+        12th node, and refutes 5 colors after a second."""
+        g, stats = random_graph(12, 0.3, random.Random(32)), SolveStats()
         value, _ = chi_so_exact(g, stats=stats)
         bounds = sorted(stats.nodes_by_t, reverse=True)
         assert bounds[0] == g.n and bounds[-1] == value - 1
@@ -172,7 +176,7 @@ class TestChiSo:
         assert max(stats.nodes_by_t) == 6 and min(stats.nodes_by_t) == value - 1
         stats = SolveStats()
         with pytest.raises(BudgetExceeded) as info:  # after the first witness
-            chi_so_exact(g, SolverBudget(node_limit=10), stats=stats)
+            chi_so_exact(g, SolverBudget(node_limit=15), stats=stats)
         assert len(stats.nodes_by_t) == 2
         assert stats.nodes == info.value.nodes == sum(stats.nodes_by_t.values())
 
@@ -380,12 +384,13 @@ class TestForwardCheck:
             assert not any(ok(c) for c in colorings_up_to_renaming(n, value - 1))
 
     def test_values_and_witnesses_pinned(self):
-        """(value, witness) pairs recorded before scopes were forward
-        checked.  Cuts remove only subtrees without the least valid
-        coloring, so the first witness stays the same.  ``solver_nodes.json``
-        adds chi_iso and the nodes per bound, in increasing order of bound;
-        its ``ceiling`` holds the counts recorded when the search became one
-        branch-and-bound pass, which no count may exceed."""
+        """(value, witness) pairs.  Cuts remove only subtrees without the
+        least valid coloring, so they keep every witness; the chi and
+        chi_odd pairs date from before scopes were forward checked, and the
+        chi_so ones from when the branching order came to close scopes
+        first.  ``solver_nodes.json`` adds chi_iso and the nodes per bound,
+        in increasing order of bound; its ``ceiling`` holds the counts
+        recorded then, which no count may exceed."""
         cases = json.loads((DATA / "solver_witnesses.json").read_text())
         nodes = json.loads((DATA / "solver_nodes.json").read_text())["pinned"]
         assert len(cases) == len(nodes) == 41
@@ -401,6 +406,17 @@ class TestForwardCheck:
             assert within(pins["chi_iso"]["nodes_by_t"], ceiling["chi_iso"])
             assert all(within(pins[label], ceiling[label])
                        for label in ("chi_so", "chi_odd", "chi"))
+
+    def test_node_totals_below_the_degree_order(self):
+        """The pinned strong odd searches together take fewer nodes than
+        the ceilings recorded under the highest-degree-first order, though
+        a few cases take more; G_3 with tree edges took 5,071 then."""
+        pinned = json.loads((DATA / "solver_nodes.json").read_text())["pinned"]
+        assert sum(sum(pins["chi_so"]) for pins in pinned) < 2213
+        assert sum(sum(pins["chi_iso"]["nodes_by_t"]) for pins in pinned) < 20057
+        stats = SolveStats()
+        assert chi_so_exact(gen_gk(3, True), stats=stats)[0] == 11
+        assert stats.nodes <= 400
 
     def test_gadgets_constraints_and_rules_pinned(self):
         """G_1-G_3 with and without tree edges, a constrained solve and a
@@ -626,18 +642,19 @@ class TestHallCut:
                   hall=False)
 
     def test_cut_fires_where_the_last_member_is_barred(self):
-        """The search colors 0, 1, 2, 3, 4 in that order.  With 0 colored 0
-        and 1 colored 1, color 1 at 2 gives N(0) = {1, 2, 3} an even count
-        of color 1.  Its one uncolored member, 3, is adjacent to 1, so it
-        cannot take color 1: the cut refutes that node, where the deficit
+        """The search colors 0, 1, ..., 5 in that order.  With 0 colored 0
+        and 1 and 2 colored 1, color 1 at 3 gives N(4) = {2, 3, 5} an even
+        count of color 1.  Its one uncolored member, 5, is adjacent to 1, so
+        it cannot take color 1: the cut refutes that node, where the deficit
         alone (one needy color, one member left) lets it through and the
-        search spends a node at 3 to refute it."""
-        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 4)])
+        search spends nodes below it to refute it."""
+        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 5), (2, 4), (3, 4), (4, 5)])
+        assert solver._Engine(g, ODD_RULE, True, solver._strong_odd_scopes(g)).order == list(range(6))
         stats = SolveStats()
         value, witness = chi_so_exact(g, stats=stats)
-        assert value == 4 and witness.assignment == {0: 0, 1: 1, 2: 2, 3: 3, 4: 1}
-        assert stats.nodes_by_t == {5: 5, 3: 0}
-        assert runs(lambda: chi_so_exact(g), hall=False) == ((value, witness.assignment), [6, 0])
+        assert value == 6 and witness.assignment == dict(zip(range(6), range(6)))
+        assert stats.nodes_by_t == {6: 7, 5: 0}
+        assert runs(lambda: chi_so_exact(g), hall=False) == ((value, witness.assignment), [9, 0])
 
     def test_gadgets_beyond_the_oracle(self):
         """G_3 with tree edges: the cut halves the nodes, with the same
@@ -650,6 +667,70 @@ class TestHallCut:
         _, nodes = runs(lambda: chi_so_exact(gen_gk(3, True)))
         _, ceiling = runs(lambda: chi_so_exact(gen_gk(3, True)), hall=False)
         assert 2 * sum(nodes) < sum(ceiling)
+
+
+def scope_closing_order(g, scopes):
+    """The branching order restated from its definition, each key counted
+    afresh: the next vertex is the uncolored one with the most colored
+    vertices sharing a rule scope with it, once per shared scope, plus
+    twice its colored neighbours; ties go to higher degree, then to the
+    lower id.  Without rule scopes every key is 0: the order is by degree."""
+    scopes = [m for m in dict.fromkeys(scopes) if m]
+    order = []
+    while len(order) < g.n:
+        colored = set(order)
+
+        def key(v):
+            shared = sum(len(m & colored) for m in scopes if v in m)
+            closing = shared + 2 * len(g.neighbors(v) & colored) if scopes else 0
+            return closing, len(g.neighbors(v)), -v
+
+        order.append(max(set(range(g.n)) - colored, key=key))
+    return order
+
+
+def by_degree(call):
+    """call() with the engine branching highest degree first, ties in id
+    order, as it did before its order came to close rule scopes first."""
+    def degree_order(nbrs, rules, rule_in):
+        return iter(sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_order", degree_order)
+        return call()
+
+
+class TestBranchingOrder:
+    """The engine branches in scope-closing order.  Any order fixed before
+    the search keeps every value, so values must match the degree order's."""
+
+    def test_order_follows_its_definition(self):
+        rng = random.Random(47)
+        graphs = twin_rich_graphs() + [random_graph(rng.randrange(1, 12), rng.random(), rng)
+                                       for _ in range(60)]
+        for g in graphs:
+            constraints = split_constraints(g, rng)
+            scopes = [d.out_neighbors(v) for d in constraints.digraphs for v in range(g.n)]
+            scopes += constraints.sets
+            for rule_scopes in (solver._strong_odd_scopes(g), scopes, ()):
+                engine = solver._Engine(g, ODD_RULE, True, rule_scopes, solver._odd_scopes(g))
+                assert engine.order == scope_closing_order(g, rule_scopes)
+
+    def test_values_match_the_degree_order(self):
+        """Seeded: twin-rich graphs and 150 random graphs of up to 10
+        vertices, under the odd rule and the three others."""
+        rng = random.Random(48)
+        graphs = twin_rich_graphs() + [random_graph(rng.randrange(1, 11), rng.random(), rng)
+                                       for _ in range(150)]
+        for g in graphs:
+            constraints = split_constraints(g, rng)
+            for rule in (ODD_RULE,) + RULES:
+                calls = [lambda: chi_so_exact(g, rule=rule)[0],
+                         lambda: chi_iso_exact(g, rule=rule)[0],
+                         lambda: chi_so_constrained(g, constraints, rule=rule)[0]]
+                calls += [lambda t=t: feasible(g, t, rule) is None for t in range(1, 5)]
+                for call in calls:
+                    assert call() == by_degree(call)
 
 
 class TestSinglePass:
