@@ -498,8 +498,8 @@ class TestLowerBound:
         """A subgraph of a 7-vertex maximal outerplanar host, all of it but
         the edge (0, 3), has no strong odd coloring with 6 colors: the
         solver says so, and exhaustive enumeration, which shares none of
-        its pruning, agrees.  With the driver's 8 colors, the outerplanar
-        constant is 7 or 8."""
+        its pruning, agrees.  With the 8 colors of ``color_outerplanar``,
+        the outerplanar constant is 7 or 8."""
         seq = KTreeSeq.make(2, [(2, (0, 1)), (3, (0, 2)), (4, (2, 3)), (5, (1, 2)), (6, (2, 4))])
         validate_outerplanar_structure(seq)
         edges = [(0, 1), (0, 2), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (4, 6)]
