@@ -169,11 +169,12 @@ def _verdict(name: str, ok: bool, start: float, **details) -> dict:
 def crit_gadget_exactness(quick=False) -> dict:
     details = {}
     ok = True
+    start = time.monotonic()
     for k in (1, 2):
         g = gen_gk(k)
-        start = time.monotonic()
+        solve_start = time.monotonic()
         value, witness = chi_so_exact(g, SolverBudget(time_limit=60))
-        elapsed = time.monotonic() - start
+        elapsed = time.monotonic() - solve_start
         infeasible_below = feasible(g, (1 << k)) is None
         verified = is_strong_odd(g, witness).ok
         details[f"g{k}"] = {
@@ -183,15 +184,13 @@ def crit_gadget_exactness(quick=False) -> dict:
         }
         ok = ok and value == (1 << k) + 1 and verified and infeasible_below \
             and elapsed < 60
-    return {"name": "gadget_exactness", "status": "pass" if ok else "fail",
-            "details": details}
+    return _verdict("gadget_exactness", ok, start, **details)
 
 
-def crit_gk3_attempt(gk3_seconds: float = 10.0) -> dict:
-    """Reported, not required: the k=3 gadget under a bounded budget."""
+def crit_gk3_attempt() -> dict:
+    """Reported, not required: the k=3 gadget under a 10 s budget."""
     g = gen_gk(3)
-    budget = SolverBudget(max_colors=9, node_limit=200_000_000,
-                          time_limit=gk3_seconds)
+    budget = SolverBudget(max_colors=9, node_limit=200_000_000, time_limit=10)
     start = time.monotonic()
     try:
         value, witness = chi_so_exact(g, budget)
@@ -200,7 +199,6 @@ def crit_gk3_attempt(gk3_seconds: float = 10.0) -> dict:
         detail = {"inconclusive": True, "lower_bound": exc.lower_bound,
                   "nodes": exc.nodes}
     detail["seconds"] = round(time.monotonic() - start, 3)
-    detail["budget_seconds"] = gk3_seconds
     return {"name": "gk3_attempt", "status": "info", "details": detail}
 
 
@@ -229,8 +227,7 @@ def crit_improper_gadgets(quick=False) -> dict:
             "so_at_least_n": so_lower,
         }
         ok = ok and degrees_odd and iso_one and chromatic == 3 and so_lower
-    return {"name": "improper_gadgets", "status": "pass" if ok else "fail",
-            "details": details}
+    return _verdict("improper_gadgets", ok, start, **details)
 
 
 def crit_outerplanar(quick=False) -> dict:
@@ -515,6 +512,7 @@ def crit_facially_odd(quick=False) -> dict:
 def crit_odd_chromatic(quick=False) -> dict:
     details = {}
     ok = True
+    start = time.monotonic()
     for k in (1, 2, 3):
         g = gen_gk(k)
         # G_1, G_2 and G_3 finish in 8, 25 and 51 nodes; a budget-out raises.
@@ -523,8 +521,7 @@ def crit_odd_chromatic(quick=False) -> dict:
         confirmed = value <= 4 and is_odd_coloring(g, witness).ok
         details[f"g{k}"] = {"value": value, "confirmed": confirmed}
         ok = ok and confirmed
-    return {"name": "odd_chromatic_sanity", "status": "pass" if ok else "fail",
-            "details": details}
+    return _verdict("odd_chromatic_sanity", ok, start, **details)
 
 
 CRITERIA = [

@@ -34,10 +34,6 @@ def gen_gk(k: int, include_tree_edges: bool = False) -> Graph:
     return Graph(n, edges)
 
 
-def gk_leaves(k: int) -> range:
-    return range((1 << k) - 1, (1 << (k + 1)) - 1)
-
-
 def gen_iso_gadget(n: int) -> Graph:
     """Four-part gadget separating the improper variant from the proper one.
 

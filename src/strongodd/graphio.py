@@ -67,16 +67,6 @@ def parse_edge_list(text: str) -> Graph | DiGraph:
     return DiGraph(n, pairs) if directed else Graph(n, pairs)
 
 
-def write_edge_list(g: Graph | DiGraph) -> str:
-    if isinstance(g, DiGraph):
-        pairs = g.arc_list()
-        header = f"{g.n} {len(pairs)} directed"
-    else:
-        pairs = g.edge_list()
-        header = f"{g.n} {len(pairs)}"
-    return "\n".join([header] + [f"{u} {v}" for u, v in pairs]) + "\n"
-
-
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edge_list()]}
 
@@ -108,20 +98,10 @@ def hypergraph_from_json(obj: dict) -> Hypergraph:
                           [_ids(h, "hypergraph vertex") for h in obj["hyperedges"]])
 
 
-def hypergraph_to_json(h: Hypergraph) -> dict:
-    return {"n": h.n, "hyperedges": [sorted(e) for e in h.hyperedges]}
-
-
 def plane_from_json(obj: dict) -> PlaneGraph:
     with _malformed("plane graph object"):
         faces = [_ids(f, "face vertex") for f in obj["faces"]]
     return PlaneGraph(graph_from_json(obj), faces)
-
-
-def plane_to_json(p: PlaneGraph) -> dict:
-    out = graph_to_json(p.graph)
-    out["faces"] = [list(f) for f in p.faces]
-    return out
 
 
 def ktree_to_json(seq: KTreeSeq) -> dict:
@@ -140,22 +120,6 @@ def ktree_from_json(obj: dict) -> KTreeSeq:
             tuple((json_int(s["v"], "ktree vertex"),
                    frozenset(_ids(s["parents"], "ktree vertex"))) for s in obj["steps"]),
         )
-
-
-def sumdesc_to_json(desc: SumDesc) -> dict:
-    return {
-        "w": desc.w,
-        "k": desc.k,
-        "t": desc.t,
-        "summands": [
-            {"ktree": ktree_to_json(s.ktree), "path_len": s.path_len}
-            for s in desc.summands
-        ],
-        "attachments": [
-            {"host_clique": list(h), "new_clique": list(nw)}
-            for h, nw in desc.attachments
-        ],
-    }
 
 
 def sumdesc_from_json(obj: dict) -> SumDesc:

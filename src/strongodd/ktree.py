@@ -235,6 +235,13 @@ def _check_parent_cliques(g: Graph, layers, sizes: Collection[int]):
     return True, None
 
 
+def _outside_graph(layering: Layering, n: int) -> list[int]:
+    """Layer vertices that are not among the graph's vertices 0..n-1.  The
+    validators report them as a B4/N4 failure and check nothing else, since
+    the other properties read the graph at every layer vertex."""
+    return sorted(v for layer in layering.layers for v in layer if not 0 <= v < n)
+
+
 def _check_layer_edges(g: Graph, layering: Layering):
     """B4 and N4: the layers partition the vertices and edges stay within
     or between consecutive layers.  Returns (ok, witness)."""
@@ -253,11 +260,16 @@ def validate_bfs_properties(seq: KTreeSeq, layering: Layering) -> PropertyReport
 
     B1: first layer is a k-clique.  B2: per-component previous-layer
     neighborhoods are k-cliques.  B3: each layer admits a (k-1)-tree
-    completion along the inherited construction order.  B4: edges stay
-    within or between consecutive layers.
+    completion along the inherited construction order.  B4: the layers
+    partition the vertices, and edges stay within or between consecutive
+    layers; a layer vertex outside the graph fails B4 alone.
     """
     g = build_ktree(seq)
     report = PropertyReport()
+    outside = _outside_graph(layering, g.n)
+    if outside:
+        report.record("B4", False, ("outside the graph", outside))
+        return report
     layers = layering.layers
 
     first = layers[0] if layers else frozenset()

@@ -24,9 +24,8 @@ stripped from the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Container, Iterable, Iterator, Optional
 
 from .graphs import Coloring, Graph, InputError, InvariantViolated
@@ -37,68 +36,13 @@ class NotOuterplanarWitness(InputError):
     """The 2-tree sequence lacks the outerplanar path-layer structure."""
 
 
-class PreconditionViolated(InputError):
-    """A gadget precoloring violates the extension routine's assumptions."""
-
-
 # ---------------------------------------------------------------------------
 # The gadget extension routine.
 #
 # Canonical gadget: triangle x,y,v colored 2,3,5; path [u1,u2,v,w2,w1] with
 # u2=1, w2=4 and free colors i=psi(u1), j=psi(w1); two uncolored stubs
 # hanging off v: u3..  (adjacent u2) and w3..  (adjacent w2), every stub
-# vertex adjacent to v.  Canonical vertex ids:
-X, Y, V, U1, U2, W2, W1 = range(7)
-
-
-@dataclass(frozen=True)
-class ClaimGadget:
-    """Shape and precoloring of one extension instance."""
-
-    u_len: int
-    w_len: int
-    u1_color: int
-    w1_color: int
-
-    def __post_init__(self):
-        if self.u_len < 2 or self.w_len < 2:
-            raise PreconditionViolated("stubs need at least two vertices each")
-        if not (1 <= self.u1_color <= 8 and 1 <= self.w1_color <= 8):
-            raise PreconditionViolated("colors must lie in 1..8")
-        if self.u1_color in (1, 2, 5):
-            raise PreconditionViolated(f"u1 color {self.u1_color} clashes on its path")
-        if self.w1_color in (3, 4, 5):
-            raise PreconditionViolated(f"w1 color {self.w1_color} clashes on its path")
-
-    def u_vertex(self, r: int) -> int:
-        return 7 + r
-
-    def w_vertex(self, r: int) -> int:
-        return 7 + self.u_len + r
-
-    @property
-    def n(self) -> int:
-        return 7 + self.u_len + self.w_len
-
-
-def gadget_graph(g: ClaimGadget) -> Graph:
-    edges = [
-        (X, Y), (X, V), (Y, V),
-        (X, U1), (X, U2), (U1, U2), (U2, V),
-        (V, W2), (W2, W1), (Y, W2), (Y, W1),
-    ]
-    prev = U2
-    for r in range(g.u_len):
-        u = g.u_vertex(r)
-        edges += [(prev, u), (V, u)]
-        prev = u
-    prev = W2
-    for r in range(g.w_len):
-        w = g.w_vertex(r)
-        edges += [(prev, w), (V, w)]
-        prev = w
-    return Graph(g.n, edges)
-
+# vertex adjacent to v.
 
 # Caller colors for the preliminary roles (6, 7, 8), tried in this order; the
 # first with role 6 != i and role 8 != j is taken.
@@ -209,42 +153,6 @@ def _extend_core(
     if flat is None:
         raise InvariantViolated("gadget admits no valid extension")
     return tuple(flat[:p]), tuple(flat[p:])
-
-
-def _pack_vmask(masked: Container[int], others: Iterable[int]) -> int:
-    """``_extend_core``'s vmask: bit r says whether the r-th of ``others``
-    (x, y, u2, w2, the u stub, then the w stub) is among ``masked``, the
-    center's masked neighbours."""
-    vmask = 0
-    for r, u in enumerate(others):
-        if u in masked:
-            vmask |= 1 << r
-    return vmask
-
-
-def claim_extend(g: ClaimGadget, mask_edges: Iterable[tuple[int, int]]) -> Coloring:
-    """Extend the gadget precoloring over the stubs.
-
-    The result is proper on the gadget, distance-2-clean on both mixed
-    paths, parity-clean at the center vertex for the masked edges, and the
-    first stub vertices avoid the colors of x and y respectively.
-    """
-    host = gadget_graph(g)
-    masked = set()
-    for u, v in mask_edges:
-        if not host.has_edge(u, v):
-            raise PreconditionViolated(f"mask edge ({u},{v}) is not a gadget edge")
-        if V in (u, v):
-            masked.add(v if u == V else u)
-    vmask = _pack_vmask(masked, chain(
-        (X, Y, U2, W2), map(g.u_vertex, range(g.u_len)), map(g.w_vertex, range(g.w_len))))
-    ucol, wcol = _extend_core(g.u1_color, g.w1_color, g.u_len, g.w_len, vmask)
-    assignment = {X: 2, Y: 3, V: 5, U1: g.u1_color, U2: 1, W2: 4, W1: g.w1_color}
-    for r, col in enumerate(ucol):
-        assignment[g.u_vertex(r)] = col
-    for r, col in enumerate(wcol):
-        assignment[g.w_vertex(r)] = col
-    return Coloring(assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -219,8 +219,9 @@ class _Engine:
         proper: bool,
         rule_scopes: Sequence[frozenset[int]],
         odd_scopes: Sequence[frozenset[int]] = (),
-        node_limit: int = 10**18,
-        deadline: float = float("inf"),
+        *,
+        node_limit: int,
+        deadline: float,
     ):
         self.n = n = g.n
         self.proper = proper
@@ -232,7 +233,11 @@ class _Engine:
         odds = list(dict.fromkeys(s for s in odd_scopes if s))
         self.n_rule, self.n_odd = len(rules), len(odds)
         self.step, self.flip = _deficit_steps(rule, max(map(len, rules), default=0))
-        rule_in, odd_in = [[] for _ in range(n)], [[] for _ in range(n)]  # scope ids by vertex
+        # Scope ids by vertex; where the search has no scope of a kind, every
+        # vertex shares one empty tuple for it.
+        empty = [()] * n
+        rule_in = [[] for _ in range(n)] if rules else empty
+        odd_in = [[] for _ in range(n)] if odds else empty
         for scopes, where in ((rules, rule_in), (odds, odd_in)):
             for s, scope in enumerate(scopes):
                 for v in scope:

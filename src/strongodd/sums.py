@@ -26,6 +26,7 @@ from .ktree import (
     build_ktree,
     _check_layer_edges,
     _check_parent_cliques,
+    _outside_graph,
 )
 
 
@@ -201,17 +202,8 @@ def _owner_closure(s: Sum, vertices: Iterable[int], w: int,
             chosen.add(i)
             if i:
                 todo.update(s.owner[g] for g in desc.attachments[i - 1][0] if keep(g))
-    if w == desc.w and len(chosen) == len(desc.summands):  # ``restrict_sum`` of all of ``s``
-        return s, {v: v for v in vertices}
     sub, new_id = _glue(s, sorted(chosen), w, keep)
     return sub, {v: new_id[v] for v in vertices}
-
-
-def restrict_sum(s: Sum, vertices: Iterable[int]) -> tuple[Sum, dict[int, int]]:
-    """``_owner_closure`` along whole attachments: the earliest summand
-    holding an edge has an endpoint private to it, so every edge of ``s``
-    inside ``vertices`` is kept."""
-    return _owner_closure(s, vertices, s.desc.w, lambda g: True)
 
 
 def natural_layering(desc: SumDesc) -> Layering:
@@ -326,6 +318,10 @@ def validate_natural_properties(desc: SumDesc, layering: Layering) -> PropertyRe
     s = build_sum(desc)
     g = s.graph
     report = PropertyReport()
+    outside = _outside_graph(layering, g.n)
+    if outside:
+        report.record("N4", False, ("outside the graph", outside))
+        return report
     layers = layering.layers
 
     # N1: the first layer is exactly a disjoint union of whole summands.

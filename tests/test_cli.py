@@ -13,7 +13,6 @@ from strongodd import cli, graphio, treewidth
 from strongodd.bounds import Bound
 from strongodd.cli import run
 from strongodd.ktree import KTreeSeq
-from strongodd.sums import SumDesc, Summand
 
 
 def invoke(argv, stdin_text=""):
@@ -285,12 +284,13 @@ class TestJsonShapes:
 
 
 STAR = graphio.ktree_to_json(KTreeSeq.make(1, [(1, [0]), (2, [0])]))
-PATH = Summand(KTreeSeq.make(0, [(0, [])]), 3)
+PATH = {"ktree": {"k": 0, "initial": [], "steps": [{"v": 0, "parents": []}]}, "path_len": 3}
 COLOR_INPUTS = {
     "tw": {"ktree": STAR},
     "rtw": {"ktree": STAR, "path_len": 2},
     "summand": {"ktree": STAR, "path_len": 2, "t": 1},
-    "sum": {"sum": graphio.sumdesc_to_json(SumDesc(1, 0, 0, (PATH, PATH), (((2,), (0,)),)))},
+    "sum": {"sum": {"w": 1, "k": 0, "t": 0, "summands": [PATH, PATH],
+                    "attachments": [{"host_clique": [2], "new_clique": [0]}]}},
 }
 CONSTRAINTS = {
     "arcs": {"n": 3, "arcs": [[0, 1], [0, 2]]},

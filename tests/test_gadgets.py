@@ -9,7 +9,6 @@ from strongodd.gadgets import (
     gen_iso_gadget,
     gen_random_maximal_outerplanar,
     gen_random_partial_ktree,
-    gk_leaves,
 )
 from strongodd.graphs import Coloring, Graph, InputError
 from strongodd.ktree import build_ktree
@@ -26,7 +25,7 @@ class TestGk:
     def test_k2_counts(self):
         g = gen_gk(2)
         assert g.n == 7 and g.m == 8
-        for leaf in gk_leaves(2):
+        for leaf in range(3, 7):  # heap indices of depth 2
             assert g.degree(leaf) == 2
 
     def test_k3_counts(self):
@@ -36,7 +35,7 @@ class TestGk:
     def test_bipartite_no_internal_edges(self):
         for k in (1, 2, 3, 4):
             g = gen_gk(k)
-            leaves = set(gk_leaves(k))
+            leaves = set(range(2**k - 1, 2**(k + 1) - 1))
             for u, v in g.edges:
                 assert (u in leaves) != (v in leaves)
 

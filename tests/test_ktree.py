@@ -119,6 +119,16 @@ class TestBfsLayering:
         u, v = report.witnesses["B4"]
         assert build_ktree(seq).has_edge(u, v)
 
+    @pytest.mark.parametrize("stray", [3, -1])
+    def test_vertex_outside_the_graph_fails_b4(self, stray):
+        # Vertex n must not raise IndexError, nor -1 be read as vertex n - 1.
+        seq = KTreeSeq.make(1, [(1, [0]), (2, [1])])
+        layers = bfs_layering(seq).layers
+        bad = Layering((layers[0], layers[1] | {stray}) + layers[2:], "bfs")
+        report = validate_bfs_properties(seq, bad)
+        assert report.results == {"B4": False}
+        assert report.witnesses == {"B4": ("outside the graph", [stray])}
+
     def test_merged_layers_fail_structure(self):
         # Merging adjacent layers leaves B4 intact but breaks the clique or
         # completion structure.

@@ -17,18 +17,11 @@ from strongodd.gadgets import gen_random_maximal_outerplanar
 from strongodd.graphs import Coloring, Graph
 from strongodd.ktree import KTreeSeq, build_ktree
 from strongodd.outerplanar import (
-    ClaimGadget,
     NotOuterplanarWitness,
-    PreconditionViolated,
-    V,
     _Host,
-    X,
-    Y,
     _extend_core,
     _search_extension,
-    claim_extend,
     color_outerplanar,
-    gadget_graph,
     validate_outerplanar_structure,
 )
 from strongodd.solver import chi_so_exact, enumerate_oracle
@@ -36,33 +29,20 @@ from strongodd.verify import is_proper, is_strong_odd
 
 
 class TestGadget:
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            ClaimGadget(1, 2, 7, 6)
-        with pytest.raises(PreconditionViolated):
-            ClaimGadget(2, 2, 1, 6)  # u1 collides on its path
-        with pytest.raises(PreconditionViolated):
-            ClaimGadget(2, 2, 7, 4)  # w1 collides on its path
-        with pytest.raises(PreconditionViolated):
-            ClaimGadget(2, 2, 9, 6)
+    """``_extend_core`` on the canonical gadget, its outputs checked by the
+    acceptance gate's from-scratch postconditions."""
 
     def test_empty_mask_keeps_preliminary_pattern(self):
-        g = ClaimGadget(4, 4, 7, 6)
-        col = claim_extend(g, [])
-        assert [col.of(g.u_vertex(r)) for r in range(4)] == [6, 7, 8, 6]
-        assert [col.of(g.w_vertex(r)) for r in range(4)] == [8, 7, 6, 8]
+        assert _extend_core(7, 6, 4, 4, 0) == ((6, 7, 8, 6), (8, 7, 6, 8))
 
     def test_even_class_recolored(self):
-        g = ClaimGadget(4, 2, 7, 6)
-        host = gadget_graph(g)
-        # v adjacent to u3 and u6 (both preliminary color 6) and to y.
-        mask = [(V, g.u_vertex(0)), (V, g.u_vertex(3)), (V, Y)]
-        col = claim_extend(g, mask)
-        seen = [col.of(g.u_vertex(0)), col.of(g.u_vertex(3))]
-        counts = {}
-        for u, c in [(g.u_vertex(0), seen[0]), (g.u_vertex(3), seen[1]), (Y, 3)]:
-            counts[c] = counts.get(c, 0) + 1
-        assert all(v % 2 == 1 for v in counts.values())
+        # v adjacent to y (bit 1) and to u3 and u6 (bits 4 and 7), both of
+        # preliminary color 6, so the preliminary pattern's class 6 is even.
+        vmask = 1 << 1 | 1 << 4 | 1 << 7
+        assert _extend_core(7, 6, 4, 2, 0)[0] == (6, 7, 8, 6)
+        ucol, wcol = _extend_core(7, 6, 4, 2, vmask)
+        assert (ucol[0], ucol[3]) != (6, 6)
+        assert _claim_check_independent(7, 6, 4, 2, vmask, ucol, wcol)
 
     def test_postconditions_on_random_masks(self):
         rng = random.Random(0)
@@ -70,22 +50,11 @@ class TestGadget:
             p, q = rng.randrange(2, 7), rng.randrange(2, 7)
             i = rng.choice([3, 4, 6, 7, 8])
             j = rng.choice([1, 2, 6, 7, 8])
-            g = ClaimGadget(p, q, i, j)
-            host = gadget_graph(g)
-            mask = [e for e in host.edge_list() if rng.random() < 0.5]
-            col = claim_extend(g, mask)
-            assert is_proper(host, col).ok
-            masked = Graph(host.n, mask)
-            parity = [v for v in is_strong_odd(masked, col).violations
-                      if v[0] == "parity" and v[1] == V]
-            assert not parity
-            assert col.of(g.u_vertex(0)) != 2
-            assert col.of(g.w_vertex(0)) != 3
-
-    def test_bad_mask_edge_rejected(self):
-        g = ClaimGadget(2, 2, 7, 6)
-        with pytest.raises(PreconditionViolated):
-            claim_extend(g, [(X, Y), (0, 99)])
+            vmask = rng.randrange(1 << (4 + p + q))
+            ucol, wcol = _extend_core(i, j, p, q, vmask)
+            assert (len(ucol), len(wcol)) == (p, q)
+            assert _claim_check_independent(i, j, p, q, vmask, ucol, wcol), \
+                (i, j, p, q, vmask)
 
 
 STUB_COLORS = (1, 2, 3, 4, 6, 7, 8)

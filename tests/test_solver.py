@@ -649,7 +649,9 @@ class TestHallCut:
         alone (one needy color, one member left) lets it through and the
         search spends nodes below it to refute it."""
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 5), (2, 4), (3, 4), (4, 5)])
-        assert solver._Engine(g, ODD_RULE, True, solver._strong_odd_scopes(g)).order == list(range(6))
+        engine = solver._Engine(g, ODD_RULE, True, solver._strong_odd_scopes(g),
+                                node_limit=0, deadline=0.0)
+        assert engine.order == list(range(6))
         stats = SolveStats()
         value, witness = chi_so_exact(g, stats=stats)
         assert value == 6 and witness.assignment == dict(zip(range(6), range(6)))
@@ -713,7 +715,8 @@ class TestBranchingOrder:
             scopes = [d.out_neighbors(v) for d in constraints.digraphs for v in range(g.n)]
             scopes += constraints.sets
             for rule_scopes in (solver._strong_odd_scopes(g), scopes, ()):
-                engine = solver._Engine(g, ODD_RULE, True, rule_scopes, solver._odd_scopes(g))
+                engine = solver._Engine(g, ODD_RULE, True, rule_scopes, solver._odd_scopes(g),
+                                        node_limit=0, deadline=0.0)
                 assert engine.order == scope_closing_order(g, rule_scopes)
 
     def test_values_match_the_degree_order(self):

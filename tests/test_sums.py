@@ -14,10 +14,10 @@ from strongodd.sums import (
     LayerWitnessError,
     SumDesc,
     Summand,
+    _owner_closure,
     build_sum,
     layer_sum_desc,
     natural_layering,
-    restrict_sum,
     validate_natural_properties,
 )
 
@@ -163,6 +163,18 @@ class TestNaturalLayering:
         with pytest.raises(LayerWitnessError):
             layer_sum_desc(build_sum(desc), dropped, 0)
 
+    @pytest.mark.parametrize("stray", [5, -1])
+    def test_vertex_outside_the_graph_fails_n4(self, stray):
+        # Vertex n must not raise IndexError, nor -1 be read as vertex n - 1.
+        tri = triangle_summand()
+        desc = SumDesc(1, 1, 1, (tri, tri), (((1,), (0,)),))
+        layers = natural_layering(desc).layers
+        assert build_sum(desc).graph.n == 5 and len(layers) == 2
+        bad = Layering((layers[0], layers[1] | {stray}), "natural")
+        report = validate_natural_properties(desc, bad)
+        assert report.results == {"N4": False}
+        assert report.witnesses == {"N4": ("outside the graph", [stray])}
+
     def test_one_summand_n1_trivial(self):
         desc = SumDesc.single(2, 0, 1, KTreeSeq.make(0, [(0, [])]), 3)
         report = validate_natural_properties(desc, natural_layering(desc))
@@ -196,6 +208,9 @@ class TestLayerWitness:
 
 
 class TestRestrictSum:
+    """``_owner_closure`` along whole attachments: every edge of the sum
+    inside the given vertices is kept."""
+
     def test_covers_the_vertices_with_their_edges(self):
         for trial in range(80):
             rng = random.Random(600 + trial)
@@ -204,7 +219,7 @@ class TestRestrictSum:
             s = build_sum(desc)
             for _ in range(3):
                 vs = {v for v in range(s.graph.n) if rng.random() < 0.3}
-                sub, to_sub = restrict_sum(s, vs)
+                sub, to_sub = _owner_closure(s, vs, desc.w, lambda g: True)
                 assert (sub.desc.w, sub.desc.k, sub.desc.t) == (desc.w, desc.k, desc.t)
                 assert set(to_sub) == vs and len(set(to_sub.values())) == len(vs)
                 for u in vs:
@@ -216,13 +231,12 @@ class TestRestrictSum:
         # glued onto another keeps the one it is glued to as well.
         tri = triangle_summand()
         s = build_sum(SumDesc(0, 1, 1, (tri, tri, tri), (((), ()), ((), ()))))
-        sub, to_sub = restrict_sum(s, [4])
+        sub, to_sub = _owner_closure(s, [4], 0, lambda g: True)
         assert sub.desc.summands == (tri,) and sub.graph.n == 3 and to_sub == {4: 1}
         glued = build_sum(SumDesc(1, 1, 1, (tri, tri, tri), (((1,), (0,)), ((), ()))))
-        sub, to_sub = restrict_sum(glued, [4])
+        sub, to_sub = _owner_closure(glued, [4], 1, lambda g: True)
         assert len(sub.desc.summands) == 2 and sub.graph.n == 5 and to_sub == {4: 4}
-        assert restrict_sum(glued, range(glued.graph.n))[0] is glued
-        assert restrict_sum(glued, [])[0].desc.summands == (tri,)
+        assert _owner_closure(glued, [], 1, lambda g: True)[0].desc.summands == (tri,)
 
 
 def _random_clique(g: Graph, rng: random.Random, size: int) -> list[int]:
@@ -313,7 +327,7 @@ class TestGluingFuzz:
                     assert wit.desc is wit.sum.desc
                 h.update(f"{case}:{d}:{out}\n".encode())
             vs = [v for v in range(s.graph.n) if rng.random() < 0.3]
-            sub, to_sub = restrict_sum(s, vs)
+            sub, to_sub = _owner_closure(s, vs, s.desc.w, lambda g: True)
             out = f"{_sum_record(sub)} att={sub.desc.attachments} to_sub={sorted(to_sub.items())}"
             h.update(f"{case}:r:{out}\n".encode())
         assert h.hexdigest() == LAYER_DIGEST
